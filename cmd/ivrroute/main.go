@@ -19,23 +19,13 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
-	// Registers /debug/pprof on http.DefaultServeMux, served only when
-	// -pprof-addr starts the side listener below; the proxy handler is
-	// its own mux, so profiling never leaks onto the public address.
-	_ "net/http/pprof"
-	"os"
-	"os/signal"
+	"log"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro/internal/router"
+	"repro/internal/tier"
 )
 
 // splitAddrs parses the -replicas list.
@@ -50,81 +40,39 @@ func splitAddrs(s string) []string {
 }
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("ivrroute: ")
+	common := tier.RegisterFlags(flag.CommandLine, ":8080")
 	var (
-		addr          = flag.String("addr", ":8080", "listen address")
 		replicas      = flag.String("replicas", "", "comma-separated ivrserve base URLs (required)")
 		probeInterval = flag.Duration("probe-interval", router.DefaultProbeInterval, "health poll cadence")
 		probeTimeout  = flag.Duration("probe-timeout", router.DefaultProbeTimeout, "per-probe deadline")
 		failThreshold = flag.Int("fail-threshold", router.DefaultFailThreshold, "consecutive probe failures before a replica leaves rotation")
-		slowQuery     = flag.Duration("slow-query", 0, "log the span tree of proxied requests slower than this to stderr as JSON (0 disables)")
-		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this side address (e.g. localhost:6062; empty disables)")
-		quiet         = flag.Bool("quiet", false, "suppress routing logs")
 		deadline      = flag.Duration("deadline", router.DefaultSearchDeadline, "X-IVR-Deadline budget minted for search requests arriving without one (negative disables minting; inbound budgets are always enforced)")
 	)
 	flag.Parse()
-	startPprof(*pprofAddr)
+	tier.StartPprof("ivrroute", common.PprofAddr)
 	if *replicas == "" {
-		fail("-replicas is required (e.g. -replicas http://localhost:8081,http://localhost:8082)")
+		log.Fatalf("-replicas is required (e.g. -replicas http://localhost:8081,http://localhost:8082)")
 	}
 
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if *quiet {
-		logger = slog.New(slog.DiscardHandler)
-	}
 	rt, err := router.New(router.Config{
 		Replicas:       splitAddrs(*replicas),
 		ProbeInterval:  *probeInterval,
 		ProbeTimeout:   *probeTimeout,
 		FailThreshold:  *failThreshold,
-		SlowQuery:      *slowQuery,
-		Logger:         logger,
+		SlowQuery:      common.SlowQuery,
+		Logger:         common.Logger(),
 		SearchDeadline: *deadline,
 	})
 	if err != nil {
-		fail("%v", err)
+		log.Fatalf("%v", err)
 	}
 	defer rt.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: rt}
 	fmt.Printf("ivrroute: front tier on %s over %d replicas (%s)\n",
-		*addr, len(splitAddrs(*replicas)), *replicas)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fail("serve: %v", err)
-		}
-	case <-ctx.Done():
-		fmt.Println("ivrroute: shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fail("shutdown: %v", err)
-		}
+		common.Addr, len(splitAddrs(*replicas)), *replicas)
+	if err := tier.Serve("ivrroute", common.Addr, rt, nil); err != nil {
+		log.Fatalf("%v", err)
 	}
-}
-
-// startPprof serves net/http/pprof's /debug/pprof endpoints on a
-// dedicated side listener so the front tier can be profiled under live
-// load (see LOADTEST.md, "Profiling live traffic"). Empty addr
-// disables it. Bind to localhost (or firewall the port).
-func startPprof(addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		fmt.Printf("ivrroute: pprof on http://%s/debug/pprof/\n", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "ivrroute: pprof listener: %v\n", err)
-		}
-	}()
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ivrroute: "+format+"\n", args...)
-	os.Exit(1)
 }

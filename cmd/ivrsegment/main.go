@@ -36,61 +36,47 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
-	// Registers /debug/pprof on http.DefaultServeMux, served only when
-	// -pprof-addr starts the side listener below; the RPC mux is its
-	// own ServeMux, so profiling never leaks onto the public address.
-	_ "net/http/pprof"
-	"os"
-	"os/signal"
+	"log"
 	"strconv"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/distrib"
-	"repro/internal/metrics"
+	"repro/internal/overload"
 	"repro/internal/store"
 	"repro/internal/synth"
+	"repro/internal/tier"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("ivrsegment: ")
+	common := tier.RegisterFlags(flag.CommandLine, ":8091")
+	common.RegisterAdmission(flag.CommandLine)
 	var (
-		addr      = flag.String("addr", ":8091", "listen address")
-		archPath  = flag.String("archive", "", "saved archive (.ivrarc) to index; default generates one")
-		seed      = flag.Int64("seed", 2008, "generation seed when no -archive is given")
-		full      = flag.Bool("full", false, "generate the full-scale archive")
-		segments  = flag.Int("segments", 2, "total segment count of the topology (same on every server)")
-		host      = flag.String("host", "", "comma-separated segment ordinals to host (default: all)")
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this side address (e.g. localhost:6061; empty disables)")
-		slowQuery = flag.Duration("slow-query", 0, "log the span tree of segment RPCs slower than this to stderr as JSON (0 disables)")
-		quiet     = flag.Bool("quiet", false, "suppress per-request logs")
-
-		admitLimit  = flag.Int("admission-limit", 0, "max concurrent segment searches before typed 429 sheds (0 = effectively unbounded gate, telemetry only)")
-		admitQueue  = flag.Int("admission-queue", 0, "admission queue depth absorbing bursts before shedding (0 = half the limit)")
-		admitTarget = flag.Duration("admission-target", 0, "AIMD latency target: cut the admission limit when queue waits exceed this (0 disables adaptation)")
+		archPath = flag.String("archive", "", "saved archive (.ivrarc) to index; default generates one")
+		seed     = flag.Int64("seed", 2008, "generation seed when no -archive is given")
+		full     = flag.Bool("full", false, "generate the full-scale archive")
+		segments = flag.Int("segments", 2, "total segment count of the topology (same on every server)")
+		host     = flag.String("host", "", "comma-separated segment ordinals to host (default: all)")
 	)
 	flag.Parse()
-	startPprof(*pprofAddr)
+	tier.StartPprof("ivrsegment", common.PprofAddr)
 
 	if *segments < 1 {
-		fail("-segments must be >= 1")
+		log.Fatalf("-segments must be >= 1")
 	}
 	hosted, err := parseOrdinals(*host)
 	if err != nil {
-		fail("%v", err)
+		log.Fatalf("%v", err)
 	}
 	var arch *synth.Archive
 	if *archPath != "" {
 		arch, err = store.Load(*archPath)
 		if err != nil {
-			fail("load archive: %v", err)
+			log.Fatalf("load archive: %v", err)
 		}
 	} else {
 		acfg := synth.TinyConfig()
@@ -99,60 +85,29 @@ func main() {
 		}
 		arch, err = synth.Generate(acfg, *seed)
 		if err != nil {
-			fail("generate: %v", err)
+			log.Fatalf("generate: %v", err)
 		}
 	}
 	sh, err := core.BuildShardedIndex(arch.Collection, nil, *segments)
 	if err != nil {
-		fail("index: %v", err)
+		log.Fatalf("index: %v", err)
 	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if *quiet {
-		logger = slog.New(slog.DiscardHandler)
-	}
-	scfg := distrib.ServerConfig{
+	srv, err := distrib.NewSegmentServer(distrib.ServerConfig{
 		Sharded:    sh,
 		Hosted:     hosted,
 		SourceHash: distrib.CollectionSourceHash(arch.Collection),
-		SlowQuery:  *slowQuery,
-		Logger:     logger,
-	}
-	if *admitLimit > 0 {
-		queue := *admitQueue
-		if queue <= 0 {
-			queue = *admitLimit / 2
-		}
-		scfg.Admission = metrics.AdmissionConfig{
-			InitialLimit: *admitLimit,
-			MaxQueue:     queue,
-			Target:       *admitTarget,
-		}
-	}
-	srv, err := distrib.NewSegmentServer(scfg)
+		SlowQuery:  common.SlowQuery,
+		Logger:     common.Logger(),
+		Admission:  overload.AdmissionFromFlags(common.AdmissionLimit, common.AdmissionQueue, common.AdmissionTarget),
+	})
 	if err != nil {
-		fail("server: %v", err)
+		log.Fatalf("server: %v", err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	fmt.Printf("ivrsegment: hosting segments %v of %d (%d shots total), /rpc/v1 on %s\n",
-		srv.Hosted(), *segments, arch.Collection.NumShots(), *addr)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fail("serve: %v", err)
-		}
-	case <-ctx.Done():
-		fmt.Println("ivrsegment: shutting down")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fail("shutdown: %v", err)
-		}
+		srv.Hosted(), *segments, arch.Collection.NumShots(), common.Addr)
+	if err := tier.Serve("ivrsegment", common.Addr, srv.Handler(), nil); err != nil {
+		log.Fatalf("%v", err)
 	}
 }
 
@@ -170,25 +125,4 @@ func parseOrdinals(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// startPprof serves net/http/pprof's /debug/pprof endpoints on a
-// dedicated side listener so the scoring tier can be profiled under
-// live load (see LOADTEST.md, "Profiling live traffic"). Empty addr
-// disables it. Bind to localhost (or firewall the port).
-func startPprof(addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		fmt.Printf("ivrsegment: pprof on http://%s/debug/pprof/\n", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "ivrsegment: pprof listener: %v\n", err)
-		}
-	}()
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ivrsegment: "+format+"\n", args...)
-	os.Exit(1)
 }

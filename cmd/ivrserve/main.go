@@ -35,40 +35,33 @@
 //	curl -s -X POST localhost:8080/api/v1/events -d '{"session_id":"SID",
 //	     "events":[{"action":"click_keyframe","shot":"v0001_s003","rank":0,
 //	                "session":"SID","t":"2008-01-01T12:00:00Z","topic":-1}]}'
-//
-// Unversioned /api/... paths answer 308 redirects to /api/v1.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net/http"
-	// Registers /debug/pprof on http.DefaultServeMux, served only when
-	// -pprof-addr starts the side listener below; the API mux is its
-	// own ServeMux, so profiling never leaks onto the public address.
-	_ "net/http/pprof"
+	"log"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/distrib"
-	"repro/internal/metrics"
-	"repro/internal/retrieval"
+	"repro/internal/overload"
 	"repro/internal/sessionstore"
 	"repro/internal/store"
 	"repro/internal/synth"
+	"repro/internal/tier"
 	"repro/internal/webapi"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("ivrserve: ")
+	common := tier.RegisterFlags(flag.CommandLine, ":8080")
+	common.RegisterAdmission(flag.CommandLine)
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
 		preset      = flag.String("preset", "combined", "system preset: baseline, profile, implicit, combined")
 		archPath    = flag.String("archive", "", "saved archive (.ivrarc) to serve; default generates one")
 		seed        = flag.Int64("seed", 2008, "generation seed when no -archive is given")
@@ -85,15 +78,9 @@ func main() {
 		hedgeAfter  = flag.Duration("hedge-after", 0, "hedge a segment RPC to a twin replica after this latency budget (0 disables)")
 		probeEvery  = flag.Duration("probe-interval", 2*time.Second, "health-probe replicas this often in replicated mode (0 disables)")
 		rpcCodec    = flag.String("rpc-codec", "binary", "segment search body codec: binary (negotiated, falls back per backend) or json (forced)")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty disables)")
-		slowQuery   = flag.Duration("slow-query", 0, "log the span tree of requests slower than this to stderr as JSON (0 disables)")
-		quiet       = flag.Bool("quiet", false, "suppress per-request logs")
 		sessStore   = flag.String("session-store", "", "journal file for durable sessions (empty = in-memory only); share one path between replicas behind ivrroute")
 		sessSync    = flag.Duration("session-sync", 100*time.Millisecond, "journal fsync batching interval (0 = fsync every write)")
 		replicaID   = flag.String("replica-id", "", "replica name stamped on responses (X-IVR-Replica) and reported to the front tier")
-		admitLimit  = flag.Int("admission-limit", 0, "max concurrent searches before typed 429 sheds (0 = effectively unbounded gate, telemetry only)")
-		admitQueue  = flag.Int("admission-queue", 0, "admission queue depth absorbing bursts before shedding (0 = half the limit)")
-		admitTarget = flag.Duration("admission-target", 0, "AIMD latency target: cut the admission limit when queue waits exceed this (0 disables adaptation)")
 		retryRatio  = flag.Float64("retry-budget", 0.1, "hedge/failover token earn rate per primary segment RPC (0 = unlimited)")
 		retryBurst  = flag.Int("retry-burst", 64, "hedge/failover token bucket burst capacity")
 		brkFails    = flag.Int("breaker-failures", 5, "consecutive RPC failures that trip a replica's circuit breaker open (0 disables breakers)")
@@ -101,15 +88,15 @@ func main() {
 		degraded    = flag.Bool("degraded", true, "distributed mode: answer partial (degraded) pages from the segments that responded instead of failing the whole query")
 	)
 	flag.Parse()
-	startPprof(*pprofAddr)
+	tier.StartPprof("ivrserve", common.PprofAddr)
 
 	cfg, err := core.Preset(*preset)
 	if err != nil {
-		fail("%v", err)
+		log.Fatalf("%v", err)
 	}
 	cfg.K = *depth
 	if *segments < 0 || *searchCache < 0 {
-		fail("-segments and -search-cache must be >= 0")
+		log.Fatalf("-segments and -search-cache must be >= 0")
 	}
 	cfg.Segments = *segments
 	if cfg.Segments == 0 {
@@ -120,7 +107,7 @@ func main() {
 	if *archPath != "" {
 		arch, err = store.Load(*archPath)
 		if err != nil {
-			fail("load archive: %v", err)
+			log.Fatalf("load archive: %v", err)
 		}
 	} else {
 		acfg := synth.TinyConfig()
@@ -129,7 +116,7 @@ func main() {
 		}
 		arch, err = synth.Generate(acfg, *seed)
 		if err != nil {
-			fail("generate: %v", err)
+			log.Fatalf("generate: %v", err)
 		}
 	}
 	// Single-process by default; -segment-addrs swaps the local index
@@ -141,22 +128,22 @@ func main() {
 	var cluster *distrib.Cluster
 	if *segAddrs != "" || *topoPath != "" {
 		if *segAddrs != "" && *topoPath != "" {
-			fail("-segment-addrs and -topology are mutually exclusive")
+			log.Fatalf("-segment-addrs and -topology are mutually exclusive")
 		}
 		var desc *distrib.TopologyDesc
 		if *topoPath != "" {
 			data, rerr := os.ReadFile(*topoPath)
 			if rerr != nil {
-				fail("read topology: %v", rerr)
+				log.Fatalf("read topology: %v", rerr)
 			}
 			desc, err = distrib.ParseTopology(data)
 			if err != nil {
-				fail("topology %s: %v", *topoPath, err)
+				log.Fatalf("topology %s: %v", *topoPath, err)
 			}
 		} else {
 			desc, err = distrib.ParseAddrGroups(*segAddrs)
 			if err != nil {
-				fail("-segment-addrs: %v", err)
+				log.Fatalf("-segment-addrs: %v", err)
 			}
 		}
 		opts := []distrib.Option{
@@ -174,24 +161,24 @@ func main() {
 		case "json":
 			opts = append(opts, distrib.WithJSONCodec())
 		default:
-			fail("unknown -rpc-codec %q (binary or json)", *rpcCodec)
+			log.Fatalf("unknown -rpc-codec %q (binary or json)", *rpcCodec)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		cluster, err = distrib.ConnectTopology(ctx, desc, opts...)
 		cancel()
 		if err != nil {
-			fail("connect segment servers: %v", err)
+			log.Fatalf("connect segment servers: %v", err)
 		}
 		defer cluster.Close()
 		if cluster.NumDocs() != arch.Collection.NumShots() {
-			fail("segment servers index %d shots, local archive has %d (mismatched -seed/-full/-archive?)",
+			log.Fatalf("segment servers index %d shots, local archive has %d (mismatched -seed/-full/-archive?)",
 				cluster.NumDocs(), arch.Collection.NumShots())
 		}
 		// Scores come from the backends while shot metadata and query
 		// expansion read the local collection — refuse to mix archives
 		// (same shot count or even same IDs is not enough).
 		if cluster.SourceHash() != distrib.CollectionSourceHash(arch.Collection) {
-			fail("segment servers were built from a different archive than this server's (mismatched -seed/-full/-archive)")
+			log.Fatalf("segment servers were built from a different archive than this server's (mismatched -seed/-full/-archive)")
 		}
 		// Scatter every segment RPC of a query concurrently: remote
 		// scoring is IO-bound, so the worker bound is the segment
@@ -199,40 +186,21 @@ func main() {
 		sys, err = core.NewSystem(cluster.NewEngine(nil, cluster.NumSegments()), arch.Collection, cfg)
 		if err == nil {
 			sys.SetBackendTelemetry(cluster.BackendSummaries)
-			sys.SetRetryBudgetTelemetry(func() retrieval.RetryBudgetSummary {
-				st := cluster.RetryBudget()
-				return retrieval.RetryBudgetSummary{
-					Tokens: st.Tokens, Taken: st.Taken, Denied: st.Denied, Unlimited: st.Unlimited,
-				}
-			})
+			sys.SetRetryBudgetTelemetry(cluster.RetryBudget)
 		}
 	} else {
 		sys, err = core.NewSystemFromCollection(arch.Collection, cfg)
 	}
 	if err != nil {
-		fail("system: %v", err)
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if *quiet {
-		logger = slog.New(slog.DiscardHandler)
+		log.Fatalf("system: %v", err)
 	}
 	opts := []webapi.Option{
-		webapi.WithLogger(logger),
+		webapi.WithLogger(common.Logger()),
 		webapi.WithSessionTTL(*sessionTTL),
 		webapi.WithMaxSessions(*maxSessions),
 		webapi.WithReplicaID(*replicaID),
-		webapi.WithSlowQuery(*slowQuery),
-	}
-	if *admitLimit > 0 {
-		queue := *admitQueue
-		if queue <= 0 {
-			queue = *admitLimit / 2
-		}
-		opts = append(opts, webapi.WithAdmission(metrics.AdmissionConfig{
-			InitialLimit: *admitLimit,
-			MaxQueue:     queue,
-			Target:       *admitTarget,
-		}))
+		webapi.WithSlowQuery(common.SlowQuery),
+		webapi.WithAdmission(overload.AdmissionFromFlags(common.AdmissionLimit, common.AdmissionQueue, common.AdmissionTarget)),
 	}
 	if cluster != nil {
 		// Live topology administration: GET/POST /api/v1/admin/topology,
@@ -253,71 +221,36 @@ func main() {
 	if *sessStore != "" {
 		journal, err = sessionstore.OpenJournal(*sessStore, sessionstore.WithSyncInterval(*sessSync))
 		if err != nil {
-			fail("open session store: %v", err)
+			log.Fatalf("open session store: %v", err)
 		}
 		defer journal.Close()
 		opts = append(opts, webapi.WithSessionStore(journal))
 	}
 	srv, err := webapi.NewServer(sys, opts...)
 	if err != nil {
-		fail("server: %v", err)
+		log.Fatalf("server: %v", err)
 	}
 	defer srv.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	if cluster != nil {
 		fmt.Printf("ivrserve: %s system over %d shots, /api/v1 on %s (session ttl %s, %d remote segments over %d backends, cache %d)\n",
-			*preset, arch.Collection.NumShots(), *addr, *sessionTTL, cluster.NumSegments(), len(cluster.Backends()), cfg.CacheSize)
+			*preset, arch.Collection.NumShots(), common.Addr, *sessionTTL, cluster.NumSegments(), len(cluster.Backends()), cfg.CacheSize)
 	} else {
 		fmt.Printf("ivrserve: %s system over %d shots, /api/v1 on %s (session ttl %s, %d index segments, cache %d)\n",
-			*preset, arch.Collection.NumShots(), *addr, *sessionTTL, cfg.Segments, cfg.CacheSize)
+			*preset, arch.Collection.NumShots(), common.Addr, *sessionTTL, cfg.Segments, cfg.CacheSize)
 	}
 
-	// Serve until SIGINT/SIGTERM, then drain in-flight requests.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fail("serve: %v", err)
-		}
-	case <-ctx.Done():
-		// Drain first: new session work answers 503 + Retry-After (so a
-		// front tier re-routes immediately) and every live session is
-		// flushed to the store — then let in-flight requests finish.
-		fmt.Println("ivrserve: shutting down")
+	// Drain before shutdown: new session work answers 503 + Retry-After
+	// (so a front tier re-routes immediately) and every live session is
+	// flushed to the store — then in-flight requests finish.
+	err = tier.Serve("ivrserve", common.Addr, srv.Handler(), func() {
 		if flushed, err := srv.BeginDrain(); err != nil {
 			fmt.Fprintf(os.Stderr, "ivrserve: drain: %v\n", err)
 		} else if journal != nil {
 			fmt.Printf("ivrserve: drained, %d sessions flushed to %s\n", flushed, *sessStore)
 		}
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fail("shutdown: %v", err)
-		}
+	})
+	if err != nil {
+		log.Fatalf("%v", err)
 	}
-}
-
-// startPprof serves net/http/pprof's /debug/pprof endpoints on a
-// dedicated side listener so live traffic can be profiled (see
-// LOADTEST.md, "Profiling live traffic"). Empty addr disables it.
-// Bind to localhost (or firewall the port): profiles expose internals.
-func startPprof(addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		fmt.Printf("ivrserve: pprof on http://%s/debug/pprof/\n", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(os.Stderr, "ivrserve: pprof listener: %v\n", err)
-		}
-	}()
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ivrserve: "+format+"\n", args...)
-	os.Exit(1)
 }

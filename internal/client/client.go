@@ -29,7 +29,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/ilog"
@@ -46,7 +45,7 @@ type Client struct {
 	retries    int
 	backoff    time.Duration
 	userAgent  string
-	budget     *retryBudget
+	budget     *overload.RetryBudget
 }
 
 // Option configures a Client.
@@ -134,13 +133,17 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	if !o.budgetIsSet {
 		o.retryRatio, o.retryBurst = 0.1, 16
 	}
+	var budget *overload.RetryBudget // nil: unbounded
+	if o.retryRatio > 0 && o.retryBurst > 0 {
+		budget = overload.NewRetryBudget(o.retryRatio, o.retryBurst)
+	}
 	return &Client{
 		baseURL:    strings.TrimSuffix(baseURL, "/"),
 		httpClient: hc,
 		retries:    o.retries,
 		backoff:    o.backoff,
 		userAgent:  o.userAgent,
-		budget:     newRetryBudget(o.retryRatio, o.retryBurst),
+		budget:     budget,
 	}, nil
 }
 
@@ -599,77 +602,8 @@ const (
 	maxDrainWait     = 5 * time.Second
 )
 
-// retryBudget is the client-wide retry token bucket (milli-token
-// integers so fractional earn rates accumulate exactly). A nil budget
-// is unlimited.
-type retryBudget struct {
-	mu        sync.Mutex
-	milli     int64
-	maxMilli  int64
-	earnMilli int64
-	taken     int64
-	denied    int64
-}
-
-func newRetryBudget(ratio float64, burst int) *retryBudget {
-	if ratio <= 0 || burst <= 0 {
-		return nil
-	}
-	max := int64(burst) * 1000
-	return &retryBudget{milli: max, maxMilli: max, earnMilli: int64(ratio * 1000)}
-}
-
-// earn credits one primary request.
-func (rb *retryBudget) earn() {
-	if rb == nil {
-		return
-	}
-	rb.mu.Lock()
-	if rb.milli += rb.earnMilli; rb.milli > rb.maxMilli {
-		rb.milli = rb.maxMilli
-	}
-	rb.mu.Unlock()
-}
-
-// take claims one retry token, reporting whether the retry may go.
-func (rb *retryBudget) take() bool {
-	if rb == nil {
-		return true
-	}
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	if rb.milli < 1000 {
-		rb.denied++
-		return false
-	}
-	rb.milli -= 1000
-	rb.taken++
-	return true
-}
-
-// RetryBudgetStats is the SDK's retry-bucket telemetry.
-type RetryBudgetStats struct {
-	// Tokens is the spendable balance; Taken/Denied count granted and
-	// refused retries. Unlimited means no bound is configured.
-	Tokens    float64
-	Taken     int64
-	Denied    int64
-	Unlimited bool
-}
-
 // RetryBudget snapshots the client's retry token bucket.
-func (c *Client) RetryBudget() RetryBudgetStats {
-	if c.budget == nil {
-		return RetryBudgetStats{Unlimited: true}
-	}
-	c.budget.mu.Lock()
-	defer c.budget.mu.Unlock()
-	return RetryBudgetStats{
-		Tokens: float64(c.budget.milli) / 1000,
-		Taken:  c.budget.taken,
-		Denied: c.budget.denied,
-	}
-}
+func (c *Client) RetryBudget() overload.RetryBudgetStats { return c.budget.Stats() }
 
 // sleepCtx waits d unless the context ends first.
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -720,7 +654,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	}
 	backoff := c.backoff
 	drainBudget := drainRetries
-	c.budget.earn()
+	c.budget.Earn()
 	var lastErr error
 	for attempt := 0; attempt < attempts; {
 		if ctx.Err() != nil {
@@ -761,7 +695,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 				// Drain/overload retries ride outside the attempt count and
 				// wait what the server asked for, not the backoff schedule —
 				// but still spend retry-budget tokens like everything else.
-				if !c.budget.take() {
+				if !c.budget.Take() {
 					return lastErr
 				}
 				drainBudget--
@@ -782,7 +716,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		if attempt >= attempts {
 			break
 		}
-		if !c.budget.take() {
+		if !c.budget.Take() {
 			break
 		}
 		if backoff > 0 {

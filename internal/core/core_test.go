@@ -6,6 +6,7 @@ import (
 	"repro/internal/collection"
 	"repro/internal/eval"
 	"repro/internal/ilog"
+	"repro/internal/index"
 	"repro/internal/profile"
 	"repro/internal/synth"
 )
@@ -76,11 +77,19 @@ func TestConfigValidation(t *testing.T) {
 
 func TestBuildIndexShapes(t *testing.T) {
 	arch, sys := fixture(t, Config{})
-	ix := sys.Engine().Index()
-	if ix.NumDocs() != arch.Collection.NumShots() {
-		t.Errorf("indexed %d docs for %d shots", ix.NumDocs(), arch.Collection.NumShots())
+	eng := sys.Engine()
+	if eng.NumDocs() != arch.Collection.NumShots() || eng.NumSegments() != 1 {
+		t.Errorf("indexed %d docs in %d segments for %d shots, want one segment",
+			eng.NumDocs(), eng.NumSegments(), arch.Collection.NumShots())
 	}
-	if ix.NumTerms(1) == 0 { // FieldConcept
+	concepts := 0
+	arch.Collection.Shots(func(s *collection.Shot) bool {
+		for _, cs := range s.Concepts {
+			concepts += eng.DocFreq(index.FieldConcept, string(cs.Concept))
+		}
+		return concepts == 0
+	})
+	if concepts == 0 {
 		t.Error("no concepts indexed")
 	}
 }

@@ -13,57 +13,36 @@ import (
 	"repro/internal/profile"
 )
 
-// sessionSnapshot is the durable form of a session's state, shared by
-// both wire codecs (JSON v1 and binary v2). The schema is versioned so
-// future fields can be added compatibly.
+// sessionSnapshot is the durable form of a session's state: what the
+// binary codec writes and restore replays.
 type sessionSnapshot struct {
-	Version   int                `json:"v"`
-	ID        string             `json:"id"`
-	Step      int                `json:"step"`
-	LastQuery string             `json:"last_query,omitempty"`
-	Seen      []string           `json:"seen,omitempty"`
-	Evidence  []evidenceSnapshot `json:"evidence,omitempty"`
-	Profile   json.RawMessage    `json:"profile,omitempty"`
+	ID        string
+	Step      int
+	LastQuery string
+	Seen      []string
+	Evidence  []feedback.Evidence
+	Profile   []byte // the profile's JSON form; empty without one
 }
 
-// evidenceSnapshot mirrors feedback.Evidence with stable JSON names.
-type evidenceSnapshot struct {
-	ShotID      string      `json:"shot"`
-	Action      ilog.Action `json:"action"`
-	Seconds     float64     `json:"seconds,omitempty"`
-	ShotSeconds float64     `json:"shot_seconds,omitempty"`
-	Rating      int         `json:"rating,omitempty"`
-	Step        int         `json:"step"`
-}
+// binarySnapshotTag is both the codec version and the sniff byte of an
+// encoded session.
+const binarySnapshotTag byte = 2
 
-const (
-	snapshotVersion = 1
-	// binarySnapshotTag is both the codec version and the sniff byte:
-	// JSON snapshots start with '{' (0x7b), binary ones with 0x02.
-	binarySnapshotTag byte = 2
-)
-
-// snapshot collects the session's durable state into the shared
-// snapshot struct. Seen IDs are sorted so both codecs are
-// deterministic byte-for-byte for a given session state.
+// snapshot collects the session's durable state. Seen IDs are sorted
+// so the encoding is deterministic byte-for-byte for a given session
+// state.
 func (sess *Session) snapshot() (sessionSnapshot, error) {
 	snap := sessionSnapshot{
-		Version:   snapshotVersion,
 		ID:        sess.id,
 		Step:      sess.step,
 		LastQuery: sess.lastQuery,
+		Evidence:  sess.acc.Evidence(),
 	}
 	snap.Seen = make([]string, 0, len(sess.seen))
 	for id := range sess.seen {
 		snap.Seen = append(snap.Seen, id)
 	}
 	sort.Strings(snap.Seen)
-	for _, ev := range sess.acc.Evidence() {
-		snap.Evidence = append(snap.Evidence, evidenceSnapshot{
-			ShotID: ev.ShotID, Action: ev.Action, Seconds: ev.Seconds,
-			ShotSeconds: ev.ShotSeconds, Rating: ev.Rating, Step: ev.Step,
-		})
-	}
 	if sess.user != nil {
 		raw, err := json.Marshal(sess.user)
 		if err != nil {
@@ -74,24 +53,11 @@ func (sess *Session) snapshot() (sessionSnapshot, error) {
 	return snap, nil
 }
 
-// Snapshot serialises the session's durable state (profile, evidence,
-// seen set, clocks) to JSON so it can be restored across process
-// restarts. The owning System is not part of the snapshot; restore
-// against a system over the same collection.
-func (sess *Session) Snapshot() ([]byte, error) {
-	snap, err := sess.snapshot()
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot: %w", err)
-	}
-	return data, nil
-}
-
-// EncodeState serialises the session to the compact binary v2 codec —
-// the form the SessionManager writes through to its SessionStore. The
+// EncodeState serialises the session's durable state (profile,
+// evidence, seen set, clocks) to the compact binary codec — the form
+// the SessionManager writes through to its SessionStore — so it can be
+// restored across process restarts. The owning System is not part of
+// the state; restore against a system over the same collection. The
 // encoding is deterministic (sorted seen set, evidence in arrival
 // order), so identical session states produce identical bytes.
 func (sess *Session) EncodeState() ([]byte, error) {
@@ -99,6 +65,10 @@ func (sess *Session) EncodeState() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return snap.encode(), nil
+}
+
+func (snap *sessionSnapshot) encode() []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(binarySnapshotTag)
 	putString(&buf, snap.ID)
@@ -118,33 +88,24 @@ func (sess *Session) EncodeState() ([]byte, error) {
 		putUvarint(&buf, uint64(ev.Step))
 	}
 	putBytes(&buf, snap.Profile)
-	return buf.Bytes(), nil
+	return buf.Bytes()
 }
 
-// RestoreSession rebuilds a session from Snapshot or EncodeState bytes
-// against this system (the codec is sniffed from the first byte). The
-// session resumes with the same evidence, seen set, iteration clock
-// and (possibly drifted) profile; because evidence is replayed through
-// the accumulator, the restored EvidenceFingerprint is bit-identical
-// to the live session's.
+// RestoreSession rebuilds a session from EncodeState bytes against
+// this system. The session resumes with the same evidence, seen set,
+// iteration clock and (possibly drifted) profile; because evidence is
+// replayed through the accumulator, the restored EvidenceFingerprint
+// is bit-identical to the live session's.
 func (s *System) RestoreSession(data []byte) (*Session, error) {
-	var snap sessionSnapshot
-	switch {
-	case len(data) == 0:
+	if len(data) == 0 {
 		return nil, fmt.Errorf("core: restore: empty snapshot")
-	case data[0] == binarySnapshotTag:
-		if err := decodeBinarySnapshot(data, &snap); err != nil {
-			return nil, err
-		}
-	case data[0] == '{':
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return nil, fmt.Errorf("core: restore: %w", err)
-		}
-		if snap.Version != snapshotVersion {
-			return nil, fmt.Errorf("core: restore: unsupported snapshot version %d", snap.Version)
-		}
-	default:
+	}
+	if data[0] != binarySnapshotTag {
 		return nil, fmt.Errorf("core: restore: unrecognised snapshot codec (tag 0x%02x)", data[0])
+	}
+	var snap sessionSnapshot
+	if err := decodeBinarySnapshot(data, &snap); err != nil {
+		return nil, err
 	}
 	return s.restoreFromSnapshot(&snap)
 }
@@ -166,11 +127,7 @@ func (s *System) restoreFromSnapshot(snap *sessionSnapshot) (*Session, error) {
 	for _, id := range snap.Seen {
 		sess.seen[id] = true
 	}
-	for i, evs := range snap.Evidence {
-		ev := feedback.Evidence{
-			ShotID: evs.ShotID, Action: evs.Action, Seconds: evs.Seconds,
-			ShotSeconds: evs.ShotSeconds, Rating: evs.Rating, Step: evs.Step,
-		}
+	for i, ev := range snap.Evidence {
 		if !ev.Action.Valid() {
 			return nil, fmt.Errorf("core: restore: evidence %d has unknown action %q", i, ev.Action)
 		}
@@ -187,11 +144,9 @@ func (s *System) restoreFromSnapshot(snap *sessionSnapshot) (*Session, error) {
 	return sess, nil
 }
 
-// decodeBinarySnapshot parses the binary v2 codec into the shared
-// snapshot struct.
+// decodeBinarySnapshot parses the binary codec.
 func decodeBinarySnapshot(data []byte, snap *sessionSnapshot) error {
 	r := binReader{b: data, off: 1}
-	snap.Version = snapshotVersion
 	snap.ID = r.str()
 	snap.Step = int(r.uvarint())
 	snap.LastQuery = r.str()
@@ -207,9 +162,9 @@ func decodeBinarySnapshot(data []byte, snap *sessionSnapshot) error {
 	if r.err == nil && nEv > uint64(len(data)) {
 		return fmt.Errorf("core: restore: corrupt binary snapshot (evidence count %d)", nEv)
 	}
-	snap.Evidence = make([]evidenceSnapshot, 0, nEv)
+	snap.Evidence = make([]feedback.Evidence, 0, nEv)
 	for i := uint64(0); i < nEv && r.err == nil; i++ {
-		snap.Evidence = append(snap.Evidence, evidenceSnapshot{
+		snap.Evidence = append(snap.Evidence, feedback.Evidence{
 			ShotID:      r.str(),
 			Action:      ilog.Action(r.str()),
 			Seconds:     r.float(),
@@ -218,10 +173,7 @@ func decodeBinarySnapshot(data []byte, snap *sessionSnapshot) error {
 			Step:        int(r.uvarint()),
 		})
 	}
-	prof := r.bytes()
-	if len(prof) > 0 {
-		snap.Profile = json.RawMessage(prof)
-	}
+	snap.Profile = r.bytes()
 	if r.err != nil {
 		return fmt.Errorf("core: restore: %w", r.err)
 	}

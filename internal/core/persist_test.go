@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/collection"
@@ -33,7 +34,7 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := sess.Snapshot()
+	data, err := sess.EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 func TestSessionSnapshotEmpty(t *testing.T) {
 	_, sys := fixture(t, Config{})
 	sess := sys.NewSession("empty", nil)
-	data, err := sess.Snapshot()
+	data, err := sess.EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +92,49 @@ func TestSessionSnapshotEmpty(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsBadData: a well-framed snapshot whose content is
+// semantically invalid is refused, not half-restored.
 func TestRestoreRejectsBadData(t *testing.T) {
 	_, sys := fixture(t, Config{})
-	cases := []string{
-		`not json`,
-		`{"v":99,"id":"x"}`,
-		`{"v":1}`,
-		`{"v":1,"id":"x","evidence":[{"shot":"s","action":"bogus","step":0}]}`,
-		`{"v":1,"id":"x","evidence":[{"shot":"","action":"play","step":0}]}`,
-		`{"v":1,"id":"x","profile":{"interests":{"astrology":1}}}`,
+	cases := map[string]sessionSnapshot{
+		"no session id":    {},
+		"unknown action":   {ID: "x", Evidence: []feedback.Evidence{{ShotID: "s", Action: "bogus"}}},
+		"evidence no shot": {ID: "x", Evidence: []feedback.Evidence{{Action: ilog.ActionPlay}}},
+		"unknown category": {ID: "x", Profile: []byte(`{"interests":{"astrology":1}}`)},
+		"profile not json": {ID: "x", Profile: []byte(`not json`)},
 	}
-	for i, c := range cases {
-		if _, err := sys.RestoreSession([]byte(c)); err == nil {
-			t.Errorf("bad snapshot %d accepted", i)
+	for name, snap := range cases {
+		if _, err := sys.RestoreSession(snap.encode()); err == nil {
+			t.Errorf("bad snapshot %q accepted", name)
+		}
+	}
+	ok := sessionSnapshot{ID: "x"}
+	if _, err := sys.RestoreSession(ok.encode()); err != nil {
+		t.Fatalf("minimal valid snapshot refused: %v", err)
+	}
+}
+
+// TestRestoreRejectsForeignCodecs is the hostile-input pin for the
+// codec sniff: the retired v1 JSON form (any '{'-leading blob), an
+// empty blob and arbitrary bytes are refused by tag with a typed
+// message — never handed to a decoder, never a panic.
+func TestRestoreRejectsForeignCodecs(t *testing.T) {
+	_, sys := fixture(t, Config{})
+	for _, tc := range []struct {
+		blob, wantErr string
+	}{
+		{"", "empty snapshot"},
+		{`{"v":1,"id":"x","step":3}`, "unrecognised snapshot codec (tag 0x7b)"},
+		{`{`, "unrecognised snapshot codec (tag 0x7b)"},
+		{"not json", "unrecognised snapshot codec (tag 0x6e)"},
+		{"\x01\x01x", "unrecognised snapshot codec (tag 0x01)"},
+	} {
+		sess, err := sys.RestoreSession([]byte(tc.blob))
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("blob %q: err = %v, want %q", tc.blob, err, tc.wantErr)
+		}
+		if sess != nil {
+			t.Errorf("blob %q: a session was restored from a refused blob", tc.blob)
 		}
 	}
 }
@@ -133,7 +164,7 @@ func TestRestoredOstensiveAges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	data, err := sess.Snapshot()
+	data, err := sess.EncodeState()
 	if err != nil {
 		t.Fatal(err)
 	}

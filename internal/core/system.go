@@ -18,6 +18,7 @@ import (
 	"repro/internal/collection"
 	"repro/internal/feedback"
 	"repro/internal/index"
+	"repro/internal/overload"
 	"repro/internal/retrieval"
 	"repro/internal/search"
 	"repro/internal/text"
@@ -179,7 +180,7 @@ type System struct {
 	stageSnap func() []trace.StageSummary
 	// budgetSnap, when wired (SetRetryBudgetTelemetry), contributes the
 	// merge tier's retry token bucket to RetrievalSnapshot.
-	budgetSnap func() retrieval.RetryBudgetSummary
+	budgetSnap func() overload.RetryBudgetStats
 }
 
 // NewSystem wires a system. engine and coll must be non-nil and built
@@ -250,7 +251,7 @@ func (s *System) SetStageTelemetry(fn func() []trace.StageSummary) { s.stageSnap
 // SetRetryBudgetTelemetry wires the merge tier's retry-budget snapshot
 // into RetrievalSnapshot (ivrserve calls this alongside
 // SetBackendTelemetry when serving a distributed topology).
-func (s *System) SetRetryBudgetTelemetry(fn func() retrieval.RetryBudgetSummary) { s.budgetSnap = fn }
+func (s *System) SetRetryBudgetTelemetry(fn func() overload.RetryBudgetStats) { s.budgetSnap = fn }
 
 // RetrievalSnapshot reports the engine-layer telemetry: cache
 // counters, per-segment scoring latency, the scoring kernel's pool

@@ -3,6 +3,8 @@ package distrib
 import (
 	"sync"
 	"time"
+
+	"repro/internal/overload"
 )
 
 // Breaker state names, exported on telemetry surfaces
@@ -12,20 +14,6 @@ const (
 	BreakerOpen     = "open"
 	BreakerHalfOpen = "half_open"
 )
-
-// breakerStateCode maps a state name to the numeric gauge value the
-// Prometheus scrape exports (0 closed, 1 half-open, 2 open — higher is
-// worse, so alerts can threshold on it).
-func breakerStateCode(state string) int {
-	switch state {
-	case BreakerOpen:
-		return 2
-	case BreakerHalfOpen:
-		return 1
-	default:
-		return 0
-	}
-}
 
 // breaker is one backend's circuit breaker. It composes with — rather
 // than replaces — the health bit: the health bit is a routing
@@ -44,7 +32,7 @@ func breakerStateCode(state string) int {
 // bare backends constructed outside a Cluster keep working.
 type breaker struct {
 	mu        sync.Mutex
-	clock     Clock
+	clock     overload.Clock
 	threshold int
 	cooldown  time.Duration
 
@@ -56,12 +44,12 @@ type breaker struct {
 	trips    int64
 }
 
-func newBreaker(clock Clock, threshold int, cooldown time.Duration) *breaker {
+func newBreaker(clock overload.Clock, threshold int, cooldown time.Duration) *breaker {
 	if threshold <= 0 {
 		return nil // breaker disabled
 	}
 	if clock == nil {
-		clock = realClock{}
+		clock = overload.RealClock{}
 	}
 	return &breaker{clock: clock, threshold: threshold, cooldown: cooldown}
 }
@@ -180,91 +168,4 @@ func (b *breaker) tripCount() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.trips
-}
-
-// retryBudget is the cluster-wide token bucket bounding retry
-// amplification: hedges and failovers spend a token each, and tokens
-// are earned as a fraction of primary launches, so retried traffic
-// converges to at most `ratio` of primary traffic no matter how hard
-// the backends are failing. The initial balance (`burst`) absorbs a
-// cold-start failure burst without denying the failovers that make a
-// single replica loss invisible.
-type retryBudget struct {
-	mu sync.Mutex
-	// Integer milli-tokens, so fractional earn rates accumulate
-	// exactly (10 earns at ratio 0.1 buy precisely one retry — float
-	// accumulation would round it away).
-	earnMilli int64
-	maxMilli  int64
-	milli     int64
-	unlimited bool
-	taken     int64
-	denied    int64
-}
-
-func newRetryBudget(ratio float64, burst int) *retryBudget {
-	rb := &retryBudget{
-		earnMilli: int64(ratio * 1000),
-		maxMilli:  int64(burst) * 1000,
-		milli:     int64(burst) * 1000,
-	}
-	if ratio <= 0 {
-		rb.unlimited = true
-	}
-	return rb
-}
-
-// earn credits the bucket for one primary launch.
-func (rb *retryBudget) earn() {
-	if rb == nil || rb.unlimited {
-		return
-	}
-	rb.mu.Lock()
-	rb.milli += rb.earnMilli
-	if rb.milli > rb.maxMilli {
-		rb.milli = rb.maxMilli
-	}
-	rb.mu.Unlock()
-}
-
-// take spends one token for a hedge or failover; false means the
-// budget is exhausted and the retry must not be sent.
-func (rb *retryBudget) take() bool {
-	if rb == nil {
-		return true
-	}
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	if rb.unlimited {
-		rb.taken++
-		return true
-	}
-	if rb.milli < 1000 {
-		rb.denied++
-		return false
-	}
-	rb.milli -= 1000
-	rb.taken++
-	return true
-}
-
-// RetryBudgetStats is a point-in-time snapshot for telemetry surfaces.
-type RetryBudgetStats struct {
-	// Tokens is the current balance (meaningless when Unlimited).
-	Tokens float64 `json:"tokens"`
-	// Taken counts granted hedge/failover launches; Denied counts
-	// retries refused because the budget was spent.
-	Taken  int64 `json:"taken"`
-	Denied int64 `json:"denied"`
-	// Unlimited marks a disabled budget (ratio <= 0).
-	Unlimited bool `json:"unlimited,omitempty"`
-}
-
-func (rb *retryBudget) stats() RetryBudgetStats {
-	if rb == nil {
-		return RetryBudgetStats{Unlimited: true}
-	}
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	return RetryBudgetStats{Tokens: float64(rb.milli) / 1000, Taken: rb.taken, Denied: rb.denied, Unlimited: rb.unlimited}
 }

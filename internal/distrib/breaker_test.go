@@ -147,56 +147,3 @@ func TestBreakerNilSafe(t *testing.T) {
 		t.Fatal("threshold 0 should disable the breaker")
 	}
 }
-
-func TestRetryBudgetBoundsAmplification(t *testing.T) {
-	rb := newRetryBudget(0.1, 2)
-	// The burst is spendable immediately...
-	if !rb.take() || !rb.take() {
-		t.Fatal("initial burst not grantable")
-	}
-	// ...then an empty bucket denies, typed in the stats.
-	if rb.take() {
-		t.Fatal("empty budget granted a retry")
-	}
-	// Ten primaries earn exactly one retry token.
-	for i := 0; i < 10; i++ {
-		rb.earn()
-	}
-	if !rb.take() {
-		t.Fatal("earned token not grantable")
-	}
-	if rb.take() {
-		t.Fatal("budget granted beyond earnings")
-	}
-	s := rb.stats()
-	if s.Taken != 3 || s.Denied != 2 {
-		t.Fatalf("taken=%d denied=%d, want 3/2", s.Taken, s.Denied)
-	}
-	// Earnings cap at the burst.
-	for i := 0; i < 1000; i++ {
-		rb.earn()
-	}
-	if got := rb.stats().Tokens; got != 2 {
-		t.Fatalf("tokens = %v, want capped at 2", got)
-	}
-}
-
-func TestRetryBudgetUnlimitedAndNil(t *testing.T) {
-	rb := newRetryBudget(0, 64)
-	for i := 0; i < 100; i++ {
-		if !rb.take() {
-			t.Fatal("unlimited budget denied")
-		}
-	}
-	if s := rb.stats(); !s.Unlimited || s.Taken != 100 || s.Denied != 0 {
-		t.Fatalf("unlimited stats: %+v", s)
-	}
-	var nilRB *retryBudget
-	nilRB.earn()
-	if !nilRB.take() {
-		t.Fatal("nil budget denied")
-	}
-	if !nilRB.stats().Unlimited {
-		t.Fatal("nil budget stats not marked unlimited")
-	}
-}

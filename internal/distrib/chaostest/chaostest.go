@@ -166,7 +166,7 @@ func (in *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	in.next.ServeHTTP(w, r)
 }
 
-// FakeClock is a manual distrib.Clock: timers fire only when the test
+// FakeClock is a manual overload.Clock: timers fire only when the test
 // advances it, so hedge budgets and probe ticks become deterministic
 // script points instead of real sleeps.
 type FakeClock struct {
@@ -189,14 +189,14 @@ func NewFakeClock() *FakeClock {
 	return c
 }
 
-// Now implements distrib.Clock.
+// Now implements overload.Clock.
 func (c *FakeClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
 }
 
-// After implements distrib.Clock: the returned channel fires when the
+// After implements overload.Clock: the returned channel fires when the
 // test has advanced past d.
 func (c *FakeClock) After(d time.Duration) <-chan time.Time {
 	c.mu.Lock()

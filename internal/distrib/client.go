@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/overload"
+	"repro/internal/tier"
 	"repro/internal/trace"
 )
 
@@ -166,7 +167,7 @@ func readRPCBody(resp *http.Response, dst []byte) ([]byte, error) {
 		return body, fmt.Errorf("%w: body exceeds %d bytes", ErrBadResponse, maxResponseBody)
 	}
 	if resp.StatusCode != http.StatusOK {
-		var env rpcErrorEnvelope
+		var env tier.ErrorEnvelope
 		if json.Unmarshal(body, &env) == nil && env.Error.Code != "" {
 			return body, &statusError{status: resp.StatusCode, code: env.Error.Code,
 				err: fmt.Errorf("%w: %d %s: %s",

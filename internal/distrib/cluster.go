@@ -16,6 +16,7 @@ import (
 	"repro/internal/retrieval"
 	"repro/internal/search"
 	"repro/internal/text"
+	"repro/internal/tier"
 	"repro/internal/trace"
 )
 
@@ -28,20 +29,6 @@ const DefaultRPCTimeout = 5 * time.Second
 // statsDeadline bounds the startup statistics download when the
 // Connect context carries no deadline of its own.
 const statsDeadline = 2 * time.Minute
-
-// Clock abstracts the time source the cluster's hedge timers and
-// probe loop run on. Production uses the real clock; the chaos tests
-// inject a manual one so hedge and probe behaviour is exercised
-// deterministically, without real sleeps.
-type Clock interface {
-	Now() time.Time
-	After(d time.Duration) <-chan time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Prober checks one backend's liveness; nil error marks it healthy.
 // The default prober GETs /rpc/v1/healthz under the RPC timeout;
@@ -57,7 +44,7 @@ type clusterConfig struct {
 	forceJSON       bool
 	hedgeAfter      time.Duration
 	probeInterval   time.Duration
-	clock           Clock
+	clock           overload.Clock
 	prober          Prober
 	retryRatio      float64
 	retryBurst      int
@@ -120,7 +107,7 @@ func WithProbeInterval(d time.Duration) Option {
 
 // WithClock substitutes the time source for hedge timers, the probe
 // loop and the topology file watcher (tests).
-func WithClock(clk Clock) Option {
+func WithClock(clk overload.Clock) Option {
 	return func(c *clusterConfig) { c.clock = clk }
 }
 
@@ -173,7 +160,7 @@ type Cluster struct {
 	cfg      clusterConfig
 	searchHC *http.Client
 	statsHC  *http.Client
-	clock    Clock
+	clock    overload.Clock
 	prober   Prober
 
 	// Immutable after Connect: the collection identity and statistics.
@@ -195,7 +182,7 @@ type Cluster struct {
 
 	// budget bounds retry amplification cluster-wide (never nil after
 	// Connect; an unlimited bucket when WithRetryBudget disables it).
-	budget *retryBudget
+	budget *overload.RetryBudget
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -264,7 +251,7 @@ func ConnectTopology(ctx context.Context, desc *TopologyDesc, opts ...Option) (*
 	}
 	cfg := clusterConfig{
 		timeout:         DefaultRPCTimeout,
-		clock:           realClock{},
+		clock:           overload.RealClock{},
 		retryRatio:      defaultRetryRatio,
 		retryBurst:      defaultRetryBurst,
 		breakerFails:    defaultBreakerFails,
@@ -301,7 +288,7 @@ func ConnectTopology(ctx context.Context, desc *TopologyDesc, opts ...Option) (*
 	if c.prober == nil {
 		c.prober = c.defaultProbe
 	}
-	c.budget = newRetryBudget(cfg.retryRatio, cfg.retryBurst)
+	c.budget = overload.NewRetryBudget(cfg.retryRatio, cfg.retryBurst)
 
 	asm, err := c.assemble(ctx, desc, nil)
 	if err != nil {
@@ -684,7 +671,7 @@ func (c *Cluster) NewEngine(analyzer *text.Analyzer, workers int) *search.Engine
 
 // RetryBudget snapshots the cluster-wide retry token bucket for
 // telemetry surfaces (ivr_retry_budget_* on the serve tier's scrape).
-func (c *Cluster) RetryBudget() RetryBudgetStats { return c.budget.stats() }
+func (c *Cluster) RetryBudget() overload.RetryBudgetStats { return c.budget.Stats() }
 
 // BackendSummaries snapshots per-backend RPC telemetry for the
 // `search` block of /api/v1/metrics.
@@ -739,7 +726,7 @@ func retryableFault(err error) bool {
 	}
 	var se *statusError
 	if errors.As(err, &se) {
-		if se.code == codeDeadline {
+		if se.code == tier.CodeDeadline {
 			return false
 		}
 		// A typed shed is per-replica pressure: the twin may have
@@ -809,7 +796,7 @@ func (c *Cluster) searchOrdinal(ctx context.Context, sreq SearchRequest) (*Searc
 			results <- outcome{resp, b, err}
 		}()
 	}
-	c.budget.earn()
+	c.budget.Earn()
 	launch(false, false)
 	pending := 1
 	var hedgeCh <-chan time.Time
@@ -827,7 +814,7 @@ func (c *Cluster) searchOrdinal(ctx context.Context, sreq SearchRequest) (*Searc
 			return nil, nil, lastErr
 		case <-hedgeCh:
 			hedgeCh = nil
-			if next < len(order) && c.budget.take() {
+			if next < len(order) && c.budget.Take() {
 				launch(true, false)
 				pending++
 			}
@@ -848,7 +835,7 @@ func (c *Cluster) searchOrdinal(ctx context.Context, sreq SearchRequest) (*Searc
 				// Route around this replica until a probe clears it.
 				out.b.healthy.Store(false)
 				out.b.brk.onFailure()
-				if next < len(order) && ctx.Err() == nil && c.budget.take() {
+				if next < len(order) && ctx.Err() == nil && c.budget.Take() {
 					launch(false, true)
 					pending++
 				}
@@ -920,7 +907,7 @@ func (r *remoteSegment) SearchSegment(ctx context.Context, p *search.PreparedQue
 		// as the overload sentinel, so the serve tier maps the whole
 		// query to deadline_exceeded rather than a generic failure.
 		var se *statusError
-		if errors.As(err, &se) && se.code == codeDeadline && !errors.Is(err, overload.ErrDeadlineExceeded) {
+		if errors.As(err, &se) && se.code == tier.CodeDeadline && !errors.Is(err, overload.ErrDeadlineExceeded) {
 			err = errors.Join(overload.ErrDeadlineExceeded, err)
 		}
 		return search.SegmentResult{}, err

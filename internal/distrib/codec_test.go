@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/search"
+	"repro/internal/tier"
 )
 
 // codecRequest builds a request with every field shape the codec must
@@ -260,11 +261,11 @@ func TestRPCSearchBinaryErrors(t *testing.T) {
 	}
 	big := make([]byte, MaxSearchBody+16)
 	copy(big, binMagic[:])
-	wantRPCEnvelope(t, post(big), http.StatusRequestEntityTooLarge, codeTooLarge)
-	wantRPCEnvelope(t, post([]byte("not a frame")), http.StatusBadRequest, codeInvalid)
+	wantRPCEnvelope(t, post(big), http.StatusRequestEntityTooLarge, tier.CodeTooLarge)
+	wantRPCEnvelope(t, post([]byte("not a frame")), http.StatusBadRequest, tier.CodeInvalid)
 	req := validSearchRequest()
 	frame := appendSearchRequest(nil, &req)
-	wantRPCEnvelope(t, post(frame[:len(frame)-2]), http.StatusBadRequest, codeInvalid)
+	wantRPCEnvelope(t, post(frame[:len(frame)-2]), http.StatusBadRequest, tier.CodeInvalid)
 }
 
 // TestCodecNegotiationFallback pins the mixed-version story: against a
@@ -284,11 +285,11 @@ func TestCodecNegotiationFallback(t *testing.T) {
 	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == SearchPath && r.Header.Get("Content-Type") != "application/json" {
 			rejects++
-			status, code := http.StatusBadRequest, codeInvalid
+			status, code := http.StatusBadRequest, tier.CodeInvalid
 			if rejects%2 == 0 {
-				status, code = http.StatusUnsupportedMediaType, codeInvalid
+				status, code = http.StatusUnsupportedMediaType, tier.CodeInvalid
 			}
-			writeRPCError(w, status, code, "cannot parse body")
+			tier.WriteError(w, status, code, "cannot parse body")
 			return
 		}
 		srv.Handler().ServeHTTP(w, r)

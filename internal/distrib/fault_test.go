@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/search"
+	"repro/internal/tier"
 )
 
 // TestConnectBackendDown: a dead address at connect time is a typed
@@ -259,7 +260,7 @@ func (g *garbageSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"segment": 9999, "hits": [], "candidates": 0}`)
 	case garbageErrorStatus:
-		writeRPCError(w, http.StatusInternalServerError, codeInternal, "injected fault")
+		tier.WriteError(w, http.StatusInternalServerError, tier.CodeInternal, "injected fault")
 	case garbageBadContent:
 		w.Header().Set("Content-Type", "text/html")
 		fmt.Fprint(w, `{"segment": 0, "hits": [], "candidates": 0}`)

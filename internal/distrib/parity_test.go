@@ -230,9 +230,6 @@ func TestDistributedStatsView(t *testing.T) {
 	if _, ok := dist.DocIDOf("nope"); ok {
 		t.Error("DocIDOf invented a document")
 	}
-	if dist.Index() != nil {
-		t.Error("distributed engine leaked a single-index view")
-	}
 }
 
 // TestDistributedSystemParity runs the full adaptive stack — expander,

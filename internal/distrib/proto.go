@@ -62,22 +62,6 @@ const (
 // orders of magnitude of headroom.
 const MaxSearchBody = 1 << 20
 
-// Error codes in the RPC error envelope (same vocabulary as /api/v1).
-const (
-	codeInvalid  = "invalid_request"
-	codeNotFound = "not_found"
-	codeTooLarge = "body_too_large"
-	codeInternal = "internal"
-	// codeDeadline marks a request whose X-IVR-Deadline budget was
-	// already spent (HTTP 504); retrying a twin cannot help, the budget
-	// is gone everywhere.
-	codeDeadline = "deadline_exceeded"
-	// codeOverloaded marks a typed admission shed (HTTP 429 with
-	// Retry-After); a twin replica may still have capacity, so the
-	// merge tier treats it as retryable.
-	codeOverloaded = "overloaded"
-)
-
 // WireTerm is one analysed query term with its query-side weight.
 type WireTerm struct {
 	Term   string  `json:"term"`

@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/overload"
 	"repro/internal/search"
+	"repro/internal/tier"
 	"repro/internal/trace"
 )
 
@@ -50,7 +50,7 @@ type ServerConfig struct {
 	// value yields an effectively transparent gate (limit 4096) whose
 	// ivr_admission_* families are still scrapeable; set InitialLimit
 	// (and Target for AIMD adaptation) to actually bound concurrency.
-	Admission metrics.AdmissionConfig
+	Admission overload.AdmissionConfig
 	// Clock drives X-IVR-Deadline budget expiry (nil = real time;
 	// chaostest injects a manual clock for deterministic expiry).
 	Clock overload.Clock
@@ -64,16 +64,13 @@ type SegmentServer struct {
 	ordinals   []int
 	sourceHash uint64
 	statsBody  []byte // precomputed: the index is immutable
-	log        *slog.Logger
 	metrics    *metrics.Registry
 	codec      codecCounters
 	tracer     *trace.Collector
 	handler    http.Handler
-	gate       *metrics.Admission
-	clock      overload.Clock
-	// deadline counts search RPCs answered deadline_exceeded — on
-	// arrival, in the admission queue, or mid-scoring.
-	deadline atomic.Int64
+	// gate runs the overload protocol on search RPCs: X-IVR-Deadline
+	// budgets, admission control, and the deadline_exceeded ledger.
+	gate *overload.Gate
 }
 
 // codecCounters counts /rpc/v1/search bodies by negotiated codec —
@@ -109,20 +106,9 @@ func NewSegmentServer(cfg ServerConfig) (*SegmentServer, error) {
 		sh:         cfg.Sharded,
 		hosted:     make(map[int]*index.Index, len(ords)),
 		sourceHash: cfg.SourceHash,
-		log:        cfg.Logger,
 		metrics:    metrics.NewRegistry(),
+		gate:       overload.NewGate(trace.TierSegment, &cfg.Admission, cfg.Clock),
 	}
-	if s.log == nil {
-		s.log = slog.New(slog.DiscardHandler)
-	}
-	acfg := cfg.Admission
-	if acfg.InitialLimit <= 0 {
-		// Transparent by default: the gate exists (so its telemetry
-		// families are always present) but does not bind.
-		acfg.InitialLimit = 4096
-	}
-	s.gate = metrics.NewAdmission(acfg)
-	s.clock = cfg.Clock
 	for _, ord := range ords {
 		if ord < 0 || ord >= n {
 			return nil, fmt.Errorf("distrib: hosted segment %d outside topology of %d segments", ord, n)
@@ -144,32 +130,22 @@ func NewSegmentServer(cfg ServerConfig) (*SegmentServer, error) {
 		RingSize:      cfg.TraceRing,
 		SlowThreshold: cfg.SlowQuery,
 	})
-	traced := trace.HTTPMiddleware(trace.HTTPConfig{
+	s.handler = trace.HTTPMiddleware(trace.HTTPConfig{
 		Tier:      trace.TierSegment,
 		Collector: s.tracer,
 		// Only scoring work is worth a trace; probes and scrapes would
 		// drown the ring.
-		Skip: func(path string) bool { return path != SearchPath },
-	})
-	s.handler = s.withRequestLog(traced(s.routes()))
+		Skip:   func(path string) bool { return path != SearchPath },
+		Logger: cfg.Logger,
+	})(s.routes())
 	return s, nil
-}
-
-// withRequestLog logs one line per request (method, path, status,
-// duration) through the configured logger.
-func (s *SegmentServer) withRequestLog(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := metrics.NewStatusRecorder(w)
-		start := time.Now()
-		next.ServeHTTP(rec, r)
-		s.log.Info("rpc request",
-			"method", r.Method, "path", r.URL.Path,
-			"status", rec.Status(), "duration", time.Since(start))
-	})
 }
 
 // Metrics exposes the server's telemetry registry (ops and tests).
 func (s *SegmentServer) Metrics() *metrics.Registry { return s.metrics }
+
+// Gate exposes the server's overload gate (ops and tests).
+func (s *SegmentServer) Gate() *overload.Gate { return s.gate }
 
 // Hosted returns the hosted segment ordinals, ascending.
 func (s *SegmentServer) Hosted() []int {
@@ -203,36 +179,13 @@ func (s *SegmentServer) routes() http.Handler {
 	handle("GET "+HealthPath, s.handleHealthz)
 	handle("GET "+MetricsPath, s.handleMetrics)
 	handle("GET "+MetricsAliasPath, s.handlePrometheus)
-	handle("GET "+TracesPath, s.handleTraces)
+	handle("GET "+TracesPath, s.tracer.ServeHTTP)
 	notFound := func(w http.ResponseWriter, r *http.Request) {
-		writeRPCError(w, http.StatusNotFound, codeNotFound, "no route %s %s", r.Method, r.URL.Path)
+		tier.WriteError(w, http.StatusNotFound, tier.CodeNotFound, "no route %s %s", r.Method, r.URL.Path)
 	}
 	mux.HandleFunc("/rpc/", s.metrics.Instrument(routeRPCUnmatched, notFound))
 	mux.HandleFunc("/", s.metrics.Instrument(routeUnmatched, notFound))
 	return mux
-}
-
-// rpcErrorEnvelope mirrors the /api/v1 error body.
-type rpcErrorEnvelope struct {
-	Error rpcErrorDetail `json:"error"`
-}
-
-type rpcErrorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func writeRPCJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeRPCError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeRPCJSON(w, status, rpcErrorEnvelope{Error: rpcErrorDetail{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	}})
 }
 
 // buildStats assembles the full statistics export of every hosted
@@ -280,7 +233,7 @@ func (s *SegmentServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	// The hashes let a prober (or an operator with curl) confirm not
 	// just liveness but that this replica serves the expected build —
 	// the same identity the merge tier validates on connect and reload.
-	writeRPCJSON(w, http.StatusOK, struct {
+	tier.WriteJSON(w, http.StatusOK, struct {
 		Status         string `json:"status"`
 		Segments       int    `json:"segments"`
 		Hosted         []int  `json:"hosted"`
@@ -294,20 +247,20 @@ func (s *SegmentServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.handlePrometheus(w, r)
 		return
 	}
-	writeRPCJSON(w, http.StatusOK, struct {
+	tier.WriteJSON(w, http.StatusOK, struct {
 		metrics.Snapshot
 		Codec codecSnapshot `json:"codec"`
 		// Kernel is process-wide: every hosted segment scores through
 		// the same pooled kernel.
-		Kernel           search.KernelStats     `json:"kernel"`
-		Admission        metrics.AdmissionStats `json:"admission"`
-		DeadlineExceeded int64                  `json:"deadline_exceeded"`
+		Kernel           search.KernelStats      `json:"kernel"`
+		Admission        overload.AdmissionStats `json:"admission"`
+		DeadlineExceeded int64                   `json:"deadline_exceeded"`
 	}{
 		Snapshot:         s.metrics.TakeSnapshot(),
 		Codec:            codecSnapshot{Binary: s.codec.binary.Load(), JSON: s.codec.json.Load()},
 		Kernel:           search.ReadKernelStats(),
-		Admission:        s.gate.Stats(),
-		DeadlineExceeded: s.deadline.Load(),
+		Admission:        s.gate.Admission().Stats(),
+		DeadlineExceeded: s.gate.DeadlineExceeded(),
 	})
 }
 
@@ -340,17 +293,7 @@ func (s *SegmentServer) handlePrometheus(w http.ResponseWriter, _ *http.Request)
 		p.Family(k.name, "counter")
 		p.Sample(k.name, float64(k.v))
 	}
-	metrics.WriteAdmissionPrometheus(p, s.gate.Stats())
-	p.Family("ivr_deadline_exceeded_total", "counter")
-	p.Sample("ivr_deadline_exceeded_total", float64(s.deadline.Load()))
-}
-
-// handleTraces serves the ring of recently finished traces, newest
-// first.
-func (s *SegmentServer) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	writeRPCJSON(w, http.StatusOK, struct {
-		Traces []*trace.Entry `json:"traces"`
-	}{s.tracer.Traces()})
+	s.gate.WritePrometheus(p)
 }
 
 // searchReqPool recycles decoded search requests (and through them the
@@ -364,43 +307,14 @@ var searchReqPool = sync.Pool{New: func() any { return new(SearchRequest) }}
 // universal fallback; the response is always encoded in the same
 // codec the request arrived in.
 func (s *SegmentServer) handleSearch(w http.ResponseWriter, r *http.Request) {
-	// Deadline first: a request whose budget is spent (or garbled) is
-	// answered typed before any byte of body is read or any slot taken.
-	budget, derr := overload.ParseDeadline(r.Header.Get(overload.DeadlineHeader))
-	if derr != nil {
-		if errors.Is(derr, overload.ErrDeadlineExpired) {
-			s.deadline.Add(1)
-			writeRPCError(w, http.StatusGatewayTimeout, codeDeadline,
-				"deadline budget spent before arrival")
-			return
-		}
-		writeRPCError(w, http.StatusBadRequest, codeInvalid,
-			"bad %s header: %v", overload.DeadlineHeader, derr)
+	// Deadline and admission first: a request whose budget is spent (or
+	// garbled), or that arrives over the concurrency limit, is answered
+	// typed before any byte of body is read.
+	ctx, release, ok := s.gate.Enter(w, r, 0)
+	if !ok {
 		return
 	}
-	ctx := r.Context()
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = overload.WithBudget(ctx, budget, s.clock)
-		defer cancel()
-	}
-	// Admission second: shed at the concurrency limit while the refusal
-	// is still cheap, with a Retry-After the merge tier and SDK honour.
-	ticket, err := s.gate.Acquire(ctx)
-	if err != nil {
-		if errors.Is(err, metrics.ErrShed) {
-			w.Header().Set("Retry-After", "1")
-			writeRPCError(w, http.StatusTooManyRequests, codeOverloaded,
-				"segment tier at concurrency limit")
-			return
-		}
-		// The budget (or caller) expired while queued.
-		s.deadline.Add(1)
-		writeRPCError(w, http.StatusGatewayTimeout, codeDeadline,
-			"deadline budget spent in admission queue")
-		return
-	}
-	defer ticket.Release()
+	defer release()
 	r.Body = http.MaxBytesReader(w, r.Body, MaxSearchBody)
 	reqMT, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 	binaryReq := reqMT == ContentTypeBinary
@@ -430,47 +344,47 @@ func (s *SegmentServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeRPCError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
+			tier.WriteError(w, http.StatusRequestEntityTooLarge, tier.CodeTooLarge,
 				"request body exceeds %d bytes", MaxSearchBody)
 			return
 		}
 		if binaryReq {
-			writeRPCError(w, http.StatusBadRequest, codeInvalid, "invalid binary frame: %v", err)
+			tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "invalid binary frame: %v", err)
 			return
 		}
-		writeRPCError(w, http.StatusBadRequest, codeInvalid, "invalid JSON: %v", err)
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "invalid JSON: %v", err)
 		return
 	}
 	seg, ok := s.hosted[req.Segment]
 	if !ok {
-		writeRPCError(w, http.StatusNotFound, codeNotFound,
+		tier.WriteError(w, http.StatusNotFound, tier.CodeNotFound,
 			"segment %d not hosted here (hosted: %v)", req.Segment, s.ordinals)
 		return
 	}
 	field, err := fieldByName(req.Field)
 	if err != nil {
-		writeRPCError(w, http.StatusBadRequest, codeInvalid, "%v", err)
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "%v", err)
 		return
 	}
 	if len(req.Terms) == 0 {
-		writeRPCError(w, http.StatusBadRequest, codeInvalid, "empty term list")
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "empty term list")
 		return
 	}
 	if len(req.Stats) != len(req.Terms) {
-		writeRPCError(w, http.StatusBadRequest, codeInvalid,
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid,
 			"%d stats for %d terms", len(req.Stats), len(req.Terms))
 		return
 	}
 	scorer, err := req.Scorer.Scorer()
 	if err != nil {
-		writeRPCError(w, http.StatusBadRequest, codeInvalid, "%v", err)
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "%v", err)
 		return
 	}
 	q := search.Query{Field: field, Terms: make([]search.WeightedTerm, len(req.Terms))}
 	stats := make([]search.TermStats, len(req.Terms))
 	for i, t := range req.Terms {
 		if t.Weight < 0 {
-			writeRPCError(w, http.StatusBadRequest, codeInvalid,
+			tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid,
 				"negative weight %v for term %q", t.Weight, t.Term)
 			return
 		}
@@ -498,9 +412,7 @@ func (s *SegmentServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if scoreErr != nil {
 		// The kernel aborted at a block boundary: the budget ran out
 		// mid-scan. Partial accumulator state is discarded, never served.
-		s.deadline.Add(1)
-		writeRPCError(w, http.StatusGatewayTimeout, codeDeadline,
-			"deadline budget spent during scoring")
+		s.gate.Exceeded(w, "deadline budget spent during scoring")
 		return
 	}
 	hits := getWireHits()
@@ -532,7 +444,7 @@ func (s *SegmentServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	enc.End()
 	recycleWireHits(hits)
 	if encErr != nil {
-		writeRPCError(w, http.StatusInternalServerError, codeInternal, "encode response: %v", encErr)
+		tier.WriteError(w, http.StatusInternalServerError, tier.CodeInternal, "encode response: %v", encErr)
 		return
 	}
 	w.Header().Set("Content-Type", contentType)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/search"
+	"repro/internal/tier"
 )
 
 // newRPCServer hosts every segment of a small corpus on one
@@ -169,14 +170,14 @@ func TestRPCSearchErrors(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"malformed json", []byte("{nope"), http.StatusBadRequest, codeInvalid},
-		{"not hosted", mutate(func(r *SearchRequest) { r.Segment = 7 }), http.StatusNotFound, codeNotFound},
-		{"negative segment", mutate(func(r *SearchRequest) { r.Segment = -1 }), http.StatusNotFound, codeNotFound},
-		{"bad field", mutate(func(r *SearchRequest) { r.Field = "vibes" }), http.StatusBadRequest, codeInvalid},
-		{"empty terms", mutate(func(r *SearchRequest) { r.Terms = nil; r.Stats = nil }), http.StatusBadRequest, codeInvalid},
-		{"stats mismatch", mutate(func(r *SearchRequest) { r.Stats = append(r.Stats, r.Stats[0]) }), http.StatusBadRequest, codeInvalid},
-		{"unknown scorer", mutate(func(r *SearchRequest) { r.Scorer = ScorerSpec{Name: "vibes"} }), http.StatusBadRequest, codeInvalid},
-		{"negative weight", mutate(func(r *SearchRequest) { r.Terms[0].Weight = -1 }), http.StatusBadRequest, codeInvalid},
+		{"malformed json", []byte("{nope"), http.StatusBadRequest, tier.CodeInvalid},
+		{"not hosted", mutate(func(r *SearchRequest) { r.Segment = 7 }), http.StatusNotFound, tier.CodeNotFound},
+		{"negative segment", mutate(func(r *SearchRequest) { r.Segment = -1 }), http.StatusNotFound, tier.CodeNotFound},
+		{"bad field", mutate(func(r *SearchRequest) { r.Field = "vibes" }), http.StatusBadRequest, tier.CodeInvalid},
+		{"empty terms", mutate(func(r *SearchRequest) { r.Terms = nil; r.Stats = nil }), http.StatusBadRequest, tier.CodeInvalid},
+		{"stats mismatch", mutate(func(r *SearchRequest) { r.Stats = append(r.Stats, r.Stats[0]) }), http.StatusBadRequest, tier.CodeInvalid},
+		{"unknown scorer", mutate(func(r *SearchRequest) { r.Scorer = ScorerSpec{Name: "vibes"} }), http.StatusBadRequest, tier.CodeInvalid},
+		{"negative weight", mutate(func(r *SearchRequest) { r.Terms[0].Weight = -1 }), http.StatusBadRequest, tier.CodeInvalid},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -192,7 +193,7 @@ func TestRPCSearchOversizedBody(t *testing.T) {
 	// Valid JSON whose bulk crosses the limit, so the decoder hits the
 	// MaxBytesReader cap rather than a syntax error.
 	big := []byte(`{"field":"` + strings.Repeat("a", MaxSearchBody) + `"}`)
-	wantRPCEnvelope(t, postSearch(t, ts.URL, big), http.StatusRequestEntityTooLarge, codeTooLarge)
+	wantRPCEnvelope(t, postSearch(t, ts.URL, big), http.StatusRequestEntityTooLarge, tier.CodeTooLarge)
 }
 
 func TestRPCHealthz(t *testing.T) {
@@ -234,7 +235,7 @@ func TestRPCRouteLabelNormalization(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantRPCEnvelope(t, resp, http.StatusNotFound, codeNotFound)
+			wantRPCEnvelope(t, resp, http.StatusNotFound, tier.CodeNotFound)
 		}
 	}
 	snap := srv.Metrics().TakeSnapshot()

@@ -1,4 +1,4 @@
-package metrics
+package overload
 
 import (
 	"context"
@@ -12,7 +12,7 @@ import (
 // work *now*, while it is still cheap, instead of queueing unboundedly
 // and timing everything out later. Callers translate it into a typed
 // 429 + Retry-After envelope.
-var ErrShed = errors.New("metrics: admission limit reached, request shed")
+var ErrShed = errors.New("overload: admission limit reached, request shed")
 
 // AdmissionConfig sizes an Admission gate.
 type AdmissionConfig struct {
@@ -206,22 +206,4 @@ func (a *Admission) Stats() AdmissionStats {
 		Shed:     a.shed,
 		Aborted:  a.aborted,
 	}
-}
-
-// WriteAdmissionPrometheus appends the ivr_admission_* families for
-// one gate to a scrape (families are present even at zero, so
-// dashboards and the CI smoke can assert on them unconditionally).
-func WriteAdmissionPrometheus(p *PromWriter, s AdmissionStats) {
-	p.Family("ivr_admission_limit", "gauge")
-	p.Sample("ivr_admission_limit", float64(s.Limit))
-	p.Family("ivr_admission_in_flight", "gauge")
-	p.Sample("ivr_admission_in_flight", float64(s.InFlight))
-	p.Family("ivr_admission_queue_depth", "gauge")
-	p.Sample("ivr_admission_queue_depth", float64(s.Queued))
-	p.Family("ivr_admission_admitted_total", "counter")
-	p.Sample("ivr_admission_admitted_total", float64(s.Admitted))
-	p.Family("ivr_admission_shed_total", "counter")
-	p.Sample("ivr_admission_shed_total", float64(s.Shed))
-	p.Family("ivr_admission_aborted_total", "counter")
-	p.Sample("ivr_admission_aborted_total", float64(s.Aborted))
 }

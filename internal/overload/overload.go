@@ -1,10 +1,12 @@
-// Package overload carries the cross-tier overload-protection
-// vocabulary: the X-IVR-Deadline budget header that propagates a
+// Package overload is the single home of the cross-tier overload
+// protocol: the X-IVR-Deadline budget header that propagates a
 // request's remaining latency budget across router → ivrserve →
-// ivrsegment, and the context plumbing that lets scatter RPCs, hedges
-// and the scoring kernel's per-block loop observe that budget without
-// real timers — the clock is injectable, so chaostest can expire a
-// budget by advancing a fake clock instead of sleeping.
+// ivrsegment, the context plumbing that lets scatter RPCs, hedges and
+// the scoring kernel's per-block loop observe that budget without real
+// timers (the Clock is injectable, so chaostest can expire a budget by
+// advancing a fake clock instead of sleeping), the AIMD Admission gate,
+// the RetryBudget token bucket, and Gate — the one server-side entry
+// every tier runs its gated work through.
 //
 // The header value is *relative*: integer milliseconds of budget left,
 // re-minted (decremented) at every hop. Relative budgets are immune to
@@ -93,8 +95,9 @@ func FormatDeadline(d time.Duration) string {
 	return strconv.FormatInt(ms, 10)
 }
 
-// Clock abstracts time for the budget so tests advance it manually.
-// distrib.Clock satisfies it structurally.
+// Clock is the one time seam of the serving stack: deadline budgets,
+// hedge timers, breaker cooldowns and probe loops all read it, so
+// tests advance one manual clock instead of sleeping.
 type Clock interface {
 	Now() time.Time
 	After(d time.Duration) <-chan time.Time
@@ -119,7 +122,7 @@ type budgetKey struct{}
 // a fake clock — zero real sleeps.
 func WithBudget(ctx context.Context, d time.Duration, clock Clock) (context.Context, context.CancelFunc) {
 	if clock == nil {
-		b := &Budget{expires: time.Now().Add(d), clock: realClock{}}
+		b := &Budget{expires: time.Now().Add(d), clock: RealClock{}}
 		ctx = context.WithValue(ctx, budgetKey{}, b)
 		return context.WithDeadline(ctx, b.expires)
 	}
@@ -178,7 +181,8 @@ func RemainingFromContext(ctx context.Context) (time.Duration, bool) {
 	return 0, false
 }
 
-type realClock struct{}
+// RealClock is the production Clock.
+type RealClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (RealClock) Now() time.Time                         { return time.Now() }
+func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/overload"
 	"repro/internal/search"
 	"repro/internal/trace"
 )
@@ -51,15 +52,6 @@ type BackendSummary struct {
 	Latency      metrics.LatencySummary `json:"latency"`
 }
 
-// RetryBudgetSummary mirrors the distributed merge tier's retry token
-// bucket (distrib.RetryBudgetStats) for the metrics surface.
-type RetryBudgetSummary struct {
-	Tokens    float64 `json:"tokens"`
-	Taken     int64   `json:"taken"`
-	Denied    int64   `json:"denied"`
-	Unlimited bool    `json:"unlimited,omitempty"`
-}
-
 // Snapshot is the retrieval-engine section of the /api/v1/metrics
 // body: cache counters plus per-segment fan-out timing, and — when
 // the engine is a distributed merge tier — per-backend RPC telemetry.
@@ -76,7 +68,7 @@ type Snapshot struct {
 	Backends []BackendSummary `json:"backends,omitempty"`
 	// RetryBudget is present only on a distributed merge tier: the
 	// cluster-wide hedge/failover token bucket.
-	RetryBudget *RetryBudgetSummary `json:"retry_budget,omitempty"`
+	RetryBudget *overload.RetryBudgetStats `json:"retry_budget,omitempty"`
 	// Kernel reports the scoring kernel's pool telemetry (compiled
 	// queries, segment scans, accumulator/top-k/hit-slice reuse). The
 	// counters are process-wide: every engine in the process scores

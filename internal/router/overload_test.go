@@ -1,12 +1,11 @@
 package router_test
 
-// Overload-protocol tests for the front tier: the router mints an
-// X-IVR-Deadline budget for search traffic, decrements (never raises)
-// an inbound budget across its hop, and answers spent or malformed
-// budgets itself without burning a forward on them.
+// Overload-protocol tests for what only the front tier does: the
+// router mints an X-IVR-Deadline budget for search traffic, decrements
+// (never raises) an inbound budget across its hop, and answers spent or
+// malformed budgets itself without burning a forward on them.
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -116,35 +115,22 @@ func TestRouterDecrementsInboundDeadline(t *testing.T) {
 	}
 }
 
-func TestRouterAnswersSpentAndMalformedDeadlines(t *testing.T) {
+// TestRouterBurnsNoForwardOnRefusedDeadlines: a spent or malformed
+// budget is answered at the router (the typed answers themselves are
+// pinned for every tier by the contract table in internal/tier); no
+// replica sees the request.
+func TestRouterBurnsNoForwardOnRefusedDeadlines(t *testing.T) {
 	echo, front := newDeadlineTier(t, router.Config{})
-	for _, tc := range []struct {
-		raw    string
-		status int
-		code   string
-	}{
-		{"0", http.StatusGatewayTimeout, "deadline_exceeded"},
-		{"-40", http.StatusGatewayTimeout, "deadline_exceeded"},
-		{"bogus", http.StatusBadRequest, "invalid_request"},
-		{"+250", http.StatusBadRequest, "invalid_request"},
-	} {
+	for raw, status := range map[string]int{"0": http.StatusGatewayTimeout, "bogus": http.StatusBadRequest} {
 		req, _ := http.NewRequest(http.MethodGet, front.URL+"/api/v1/search?session=s&q=x", nil)
-		req.Header.Set(overload.DeadlineHeader, tc.raw)
+		req.Header.Set(overload.DeadlineHeader, raw)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var env struct {
-			Error struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			t.Fatalf("deadline %q: undecodable error body: %v", tc.raw, err)
-		}
 		resp.Body.Close()
-		if resp.StatusCode != tc.status || env.Error.Code != tc.code {
-			t.Fatalf("deadline %q: got %d/%q, want %d/%q", tc.raw, resp.StatusCode, env.Error.Code, tc.status, tc.code)
+		if resp.StatusCode != status {
+			t.Fatalf("deadline %q: status %d, want %d", raw, resp.StatusCode, status)
 		}
 	}
 	if n := echo.hits.Load(); n != 0 {

@@ -39,7 +39,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -55,6 +54,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/overload"
+	"repro/internal/tier"
 	"repro/internal/trace"
 )
 
@@ -127,13 +127,15 @@ type Router struct {
 	log      *slog.Logger
 	cfg      Config
 	tracer   *trace.Collector
+	handler  http.Handler
 	start    time.Time
 
 	rr atomic.Uint64 // round-robin cursor for session-less requests
 
-	// deadlines counts requests the router itself answered
-	// deadline_exceeded (budget spent before or between forwards).
-	deadlines atomic.Int64
+	// gate runs the deadline protocol on proxied requests and counts the
+	// ones the router itself answered deadline_exceeded (budget spent
+	// before or between forwards). The router sheds nothing.
+	gate *overload.Gate
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -192,6 +194,13 @@ func New(cfg Config) (*Router, error) {
 	if rt.log == nil {
 		rt.log = slog.New(slog.DiscardHandler)
 	}
+	rt.gate = overload.NewGate(trace.TierRouter, nil, cfg.Clock)
+	rt.handler = trace.HTTPMiddleware(trace.HTTPConfig{
+		Tier:      trace.TierRouter,
+		Collector: rt.tracer,
+		Skip:      ownEndpoint,
+		Logger:    cfg.Logger,
+	})(http.HandlerFunc(rt.route))
 	seen := map[string]bool{}
 	for _, raw := range cfg.Replicas {
 		u, err := url.Parse(raw)
@@ -314,32 +323,52 @@ func copyHeaders(dst, src http.Header) {
 	}
 }
 
-// ServeHTTP routes one request: the router's own endpoints first,
+// ownEndpoint reports the paths the router answers itself; they are
+// not worth a trace-ring slot.
+func ownEndpoint(path string) bool {
+	switch path {
+	case "/api/v1/healthz", "/api/v1/metrics", "/metrics", "/api/v1/debug/traces":
+		return true
+	}
+	return false
+}
+
+// ServeHTTP serves one request through the shared tier chain
+// (request ID, trace, request log, panic recovery).
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.handler.ServeHTTP(w, r) }
+
+// route dispatches one request: the router's own endpoints first,
 // everything else proxied with session affinity and failover.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method == http.MethodGet && r.URL.Path == "/api/v1/healthz":
-		rt.serveHealthz(w)
-		return
-	case r.Method == http.MethodGet && r.URL.Path == "/api/v1/metrics":
-		if r.URL.Query().Get("format") == "prometheus" {
+func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodGet {
+		switch r.URL.Path {
+		case "/api/v1/healthz":
+			rt.serveHealthz(w)
+			return
+		case "/api/v1/debug/traces":
+			rt.tracer.ServeHTTP(w, r)
+			return
+		case "/api/v1/metrics":
+			if r.URL.Query().Get("format") != "prometheus" {
+				rt.serveMetrics(w)
+				return
+			}
+			rt.servePrometheus(w)
+			return
+		case "/metrics":
 			rt.servePrometheus(w)
 			return
 		}
-		rt.serveMetrics(w)
-		return
-	case r.Method == http.MethodGet && r.URL.Path == "/metrics":
-		rt.servePrometheus(w)
-		return
-	case r.Method == http.MethodGet && r.URL.Path == "/api/v1/debug/traces":
-		rt.serveTraces(w)
-		return
 	}
 	rt.proxy(w, r)
 }
 
 // proxy forwards a request down its candidate list until a replica
 // answers (or answers with anything but "I'm draining/unreachable").
+//
+// The chain in front has already settled the correlation ID (the
+// client's, or a minted one) and opened the trace; forward stamps the
+// ID on every attempt so serve and segment tag their spans with it.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Body != nil {
@@ -347,31 +376,14 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 		body, err = io.ReadAll(io.LimitReader(r.Body, maxBufferedBody+1))
 		r.Body.Close()
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid_request", "read body: %v", err)
+			tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "read body: %v", err)
 			return
 		}
 		if len(body) > maxBufferedBody {
-			writeError(w, http.StatusRequestEntityTooLarge, "invalid_request", "body over %d bytes", maxBufferedBody)
+			tier.WriteError(w, http.StatusRequestEntityTooLarge, tier.CodeInvalid, "body over %d bytes", maxBufferedBody)
 			return
 		}
 	}
-
-	// Correlation: honour the client's request ID or mint one; the
-	// forwarded request carries it (copyHeaders), so serve and segment
-	// stamp their spans with the same ID. The client's echo request
-	// (X-IVR-Trace: 1) is remembered here — the router ALWAYS asks the
-	// upstream for its tree, but re-echoes the assembled tree to the
-	// end client only when asked.
-	reqID := r.Header.Get(trace.RequestIDHeader)
-	if reqID == "" {
-		reqID = trace.NewID()
-		r.Header.Set(trace.RequestIDHeader, reqID)
-	}
-	w.Header().Set(trace.RequestIDHeader, reqID)
-	echoClient := r.Header.Get(trace.Header) == trace.RequestEcho
-	tr, root := trace.New(reqID, trace.TierRouter, r.Method+" "+r.URL.Path)
-	ctx := trace.NewContext(r.Context(), tr, root)
-	defer rt.tracer.Finish(tr)
 
 	// Deadline budget: honour an inbound X-IVR-Deadline (the SDK's),
 	// minting the configured default for search requests that arrive
@@ -379,24 +391,15 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	// re-encoded per forward attempt with the elapsed time subtracted —
 	// so a re-routed request carries only what is left of the original
 	// budget, and lower tiers never see it grow.
-	budget, derr := overload.ParseDeadline(r.Header.Get(overload.DeadlineHeader))
-	if derr != nil {
-		if errors.Is(derr, overload.ErrDeadlineExpired) {
-			rt.deadlines.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", "deadline budget spent before arrival")
-		} else {
-			writeError(w, http.StatusBadRequest, "invalid_request", "bad %s header: %v", overload.DeadlineHeader, derr)
-		}
+	var mint time.Duration
+	if strings.HasPrefix(r.URL.Path, "/api/v1/search") {
+		mint = rt.cfg.SearchDeadline
+	}
+	ctx, release, ok := rt.gate.Enter(w, r, mint)
+	if !ok {
 		return
 	}
-	if budget == 0 && rt.cfg.SearchDeadline > 0 && strings.HasPrefix(r.URL.Path, "/api/v1/search") {
-		budget = rt.cfg.SearchDeadline
-	}
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = overload.WithBudget(ctx, budget, rt.cfg.Clock)
-		defer cancel()
-	}
+	defer release()
 	r = r.WithContext(ctx)
 
 	sid := sessionID(r, body)
@@ -428,18 +431,18 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	}
 
 	for i, rep := range order {
-		done, retriable := rt.forward(ctx, w, r, rep, body, i > 0, echoClient)
+		done, retriable := rt.forward(w, r, rep, body, i > 0)
 		if done || !retriable {
 			return
 		}
 	}
-	writeError(w, http.StatusBadGateway, "no_replica", "no replica available for %s %s", r.Method, r.URL.Path)
+	tier.WriteError(w, http.StatusBadGateway, tier.CodeNoReplica, "no replica available for %s %s", r.Method, r.URL.Path)
 }
 
 // forward sends the request to one replica and relays the answer.
 // done=true means a response went out; retriable=true means nothing
 // was written and the next candidate should be tried.
-func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, r *http.Request, rep *replica, body []byte, isReroute, echoClient bool) (done, retriable bool) {
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, rep *replica, body []byte, isReroute bool) (done, retriable bool) {
 	rep.requests.Add(1)
 	if isReroute {
 		rep.rerouted.Add(1)
@@ -447,7 +450,7 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, r *http.Re
 	// One "proxy" span per forward attempt: a re-routed request shows
 	// every replica it tried, each attempt carrying the upstream's own
 	// grafted span tree when one came back.
-	_, sp := trace.StartSpan(ctx, "proxy")
+	_, sp := trace.StartSpan(r.Context(), "proxy")
 	sp.SetAttr("replica", rep.name)
 	defer sp.End()
 	outURL := rep.name + r.URL.Path
@@ -456,25 +459,26 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, r *http.Re
 	}
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, outURL, bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", "%v", err)
+		tier.WriteError(w, http.StatusInternalServerError, tier.CodeInternal, "%v", err)
 		return true, false
 	}
 	copyHeaders(out.Header, r.Header)
+	out.Header.Set(trace.RequestIDHeader, w.Header().Get(trace.RequestIDHeader))
 	// Re-encode the remaining deadline budget for this attempt
 	// (overriding the stale inbound header copied above). A budget too
 	// small to be worth a network hop is answered here instead.
 	if rem, ok := overload.RemainingFromContext(r.Context()); ok {
 		if rem < overload.MinForward {
-			rt.deadlines.Add(1)
 			sp.SetAttr("error", "deadline")
-			writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", "deadline budget spent at router")
+			rt.gate.Exceeded(w, "deadline budget spent at router")
 			return true, false
 		}
 		out.Header.Set(overload.DeadlineHeader, overload.FormatDeadline(rem))
 	}
 	// Always ask the upstream for its server-side tree, whatever the
 	// end client asked for; the graft below is what makes the router's
-	// ring and slow-query log self-contained.
+	// ring and slow-query log self-contained. The assembled tree is
+	// echoed to the end client (by the chain) only when it asked.
 	out.Header.Set(trace.Header, trace.RequestEcho)
 	resp, err := rt.client.Do(out)
 	if err != nil {
@@ -514,9 +518,6 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, r *http.Re
 	resp.Header.Del(trace.RequestIDHeader)
 	// Relay everything else verbatim, including application errors.
 	copyHeaders(w.Header(), resp.Header)
-	if echoClient {
-		w.Header().Set(trace.Header, trace.EncodeSpan(trace.FromContext(ctx).SnapshotRoot()))
-	}
 	w.WriteHeader(resp.StatusCode)
 	flushingCopy(w, resp.Body)
 	return true, false
@@ -537,12 +538,8 @@ func isDrainingResponse(resp *http.Response) bool {
 	// and a false return here means the 503 body was already read —
 	// so re-wrap it for the caller.
 	resp.Body = io.NopCloser(bytes.NewReader(data))
-	var env struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	return json.Unmarshal(data, &env) == nil && env.Error.Code == "draining"
+	var env tier.ErrorEnvelope
+	return json.Unmarshal(data, &env) == nil && env.Error.Code == tier.CodeDraining
 }
 
 // flushingCopy streams body to w, flushing after every chunk so NDJSON
@@ -564,14 +561,6 @@ func flushingCopy(w http.ResponseWriter, body io.Reader) {
 			return
 		}
 	}
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"error": map[string]string{"code": code, "message": fmt.Sprintf(format, args...)},
-	})
 }
 
 // --- health probing ---
@@ -680,9 +669,7 @@ func (rt *Router) serveHealthz(w http.ResponseWriter) {
 	if healthy == 0 {
 		status, code = "down", http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]any{
+	tier.WriteJSON(w, code, map[string]any{
 		"status":   status,
 		"router":   true,
 		"replicas": len(rt.replicas),
@@ -691,12 +678,10 @@ func (rt *Router) serveHealthz(w http.ResponseWriter) {
 }
 
 func (rt *Router) serveMetrics(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(map[string]any{
+	tier.WriteJSON(w, http.StatusOK, map[string]any{
 		"router":            true,
 		"replicas":          rt.Status(),
-		"deadline_exceeded": rt.deadlines.Load(),
+		"deadline_exceeded": rt.gate.DeadlineExceeded(),
 	})
 }
 
@@ -737,18 +722,7 @@ func (rt *Router) servePrometheus(w http.ResponseWriter) {
 	for _, st := range status {
 		pw.Sample("ivr_replica_rerouted_total", float64(st.Rerouted), "replica", st.Replica)
 	}
-	pw.Family("ivr_deadline_exceeded_total", "counter")
-	pw.Sample("ivr_deadline_exceeded_total", float64(rt.deadlines.Load()))
-}
-
-// serveTraces serves the ring of recent proxied-request traces,
-// newest first.
-func (rt *Router) serveTraces(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = json.NewEncoder(w).Encode(struct {
-		Traces []*trace.Entry `json:"traces"`
-	}{rt.tracer.Traces()})
+	rt.gate.WritePrometheus(pw)
 }
 
 // Tracer exposes the router's trace collector (ops and tests).

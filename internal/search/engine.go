@@ -119,8 +119,6 @@ type StatsView interface {
 // concurrent use; all state is read-only after construction.
 type Engine struct {
 	segs     []SegmentSearcher
-	single   *index.Index   // non-nil when wrapping exactly one local Index
-	sharded  *index.Sharded // non-nil when wrapping a local sharded index
 	stats    StatsView
 	analyzer *text.Analyzer
 	workers  int
@@ -136,16 +134,7 @@ type Engine struct {
 // must match the pipeline used at indexing time for text retrieval to
 // work.
 func NewEngine(ix *index.Index, analyzer *text.Analyzer) *Engine {
-	if analyzer == nil {
-		analyzer = text.NewAnalyzer()
-	}
-	return &Engine{
-		segs:     []SegmentSearcher{localSegment{seg: ix, ordinal: 0, stride: 1}},
-		single:   ix,
-		stats:    ix,
-		analyzer: analyzer,
-		workers:  1,
-	}
+	return NewSegmentsEngine(ix, []SegmentSearcher{localSegment{seg: ix, ordinal: 0, stride: 1}}, analyzer, 1)
 }
 
 // NewShardedEngine wraps a sharded index. Queries score every segment
@@ -157,9 +146,7 @@ func NewShardedEngine(sh *index.Sharded, analyzer *text.Analyzer, workers int) *
 	for i := range segs {
 		segs[i] = localSegment{seg: sh.Segment(i), ordinal: i, stride: sh.NumSegments()}
 	}
-	e := NewSegmentsEngine(sh, segs, analyzer, workers)
-	e.sharded = sh
-	return e
+	return NewSegmentsEngine(sh, segs, analyzer, workers)
 }
 
 // NewSegmentsEngine assembles an engine over arbitrary segments — the
@@ -182,15 +169,6 @@ func NewSegmentsEngine(stats StatsView, segs []SegmentSearcher, analyzer *text.A
 		workers:  workers,
 	}
 }
-
-// Index exposes the underlying index when the engine wraps exactly one
-// (read-only use). Sharded and distributed engines return nil; use
-// NumDocs/DocFreq and friends, which aggregate across segments.
-func (e *Engine) Index() *index.Index { return e.single }
-
-// Sharded exposes the underlying sharded index (nil for single-index
-// and distributed engines).
-func (e *Engine) Sharded() *index.Sharded { return e.sharded }
 
 // NumSegments reports how many index segments the engine scores.
 func (e *Engine) NumSegments() int { return len(e.segs) }

@@ -320,11 +320,8 @@ func TestShardedEngineStats(t *testing.T) {
 	single, sh := buildCorpus(t, 31, 40, 4)
 	seq := NewEngine(single, nil)
 	par := NewShardedEngine(sh, nil, 0)
-	if par.Index() != nil {
-		t.Error("sharded engine leaked a single-index view")
-	}
-	if seq.Index() == nil {
-		t.Error("single engine hid its index")
+	if par.NumSegments() != 4 || seq.NumSegments() != 1 {
+		t.Errorf("segments = %d sharded / %d single, want 4 / 1", par.NumSegments(), seq.NumSegments())
 	}
 	if par.NumDocs() != seq.NumDocs() {
 		t.Errorf("NumDocs %d vs %d", par.NumDocs(), seq.NumDocs())

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sessionstore"
+	"repro/internal/tier"
 )
 
 func TestDrainRespondsRetryAfter(t *testing.T) {
@@ -52,7 +53,7 @@ func TestDrainRespondsRetryAfter(t *testing.T) {
 	if r.Header.Get("Retry-After") == "" {
 		t.Fatal("draining 503 without Retry-After")
 	}
-	wantEnvelope(t, "POST", ts.URL+"/api/v1/sessions", map[string]any{}, http.StatusServiceUnavailable, codeDraining)
+	wantEnvelope(t, "POST", ts.URL+"/api/v1/sessions", map[string]any{}, http.StatusServiceUnavailable, tier.CodeDraining)
 
 	// Liveness flips to draining but stays 200 (the probe is how the
 	// router learns, not an error path).

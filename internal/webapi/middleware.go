@@ -1,13 +1,9 @@
 package webapi
 
 import (
-	"context"
-	"log/slog"
 	"net/http"
 	"strings"
-	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -23,96 +19,20 @@ const RequestIDHeader = trace.RequestIDHeader
 // and the front tier can observe session affinity and failover.
 const ReplicaHeader = "X-IVR-Replica"
 
-type ctxKey int
-
-const requestIDKey ctxKey = 0
-
-// RequestID returns the correlation ID of an in-flight request (""
-// outside the middleware chain).
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
-}
-
-// instrument wraps one route's handler with the registry's per-route
-// telemetry (metrics.Instrument reuses the middleware's StatusRecorder
-// so the chain adds no extra wrapper allocation). The same helper
-// instruments the distributed RPC mux, so both surfaces normalise
-// their catch-all labels the same way.
-func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
-	return s.metrics.Instrument(pattern, h)
-}
-
 // skipTrace reports paths not worth a trace-ring slot: health probes,
 // metrics scrapes, and the trace ring itself would otherwise drown the
 // query traces operators come for.
 func skipTrace(path string) bool {
 	return path == "/api/v1/healthz" ||
 		path == "/api/v1/metrics" ||
-		path == distribMetricsAlias ||
+		path == "/metrics" ||
 		strings.HasPrefix(path, "/api/v1/debug/")
 }
 
-// distribMetricsAlias mirrors distrib.MetricsAliasPath without the
-// import (webapi must not depend on the RPC package).
-const distribMetricsAlias = "/metrics"
-
-// withMiddleware wraps next with the server's standard chain:
-// request-ID propagation, per-request tracing, request logging, and
-// panic recovery into a 500 error envelope.
-//
-// Tracing implements the serve side of the trace header contract (see
-// package trace): every non-skipped request is traced into the
-// collector under the request's correlation ID, and when the caller
-// sent "X-IVR-Trace: 1" the finished span tree is serialised into the
-// same response header just before the headers flush.
-func (s *Server) withMiddleware(next http.Handler) http.Handler {
+// withReplicaHeader stamps the replica name on every response.
+func withReplicaHeader(id string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqID := r.Header.Get(RequestIDHeader)
-		if reqID == "" {
-			reqID = trace.NewID()
-		}
-		w.Header().Set(RequestIDHeader, reqID)
-		if s.replicaID != "" {
-			w.Header().Set(ReplicaHeader, s.replicaID)
-		}
-		r = r.WithContext(context.WithValue(r.Context(), requestIDKey, reqID))
-
-		rec := metrics.NewStatusRecorder(w)
-		var tr *trace.Trace
-		if !skipTrace(r.URL.Path) {
-			t, root := trace.New(reqID, trace.TierServe, r.Method+" "+r.URL.Path)
-			tr = t
-			r = r.WithContext(trace.NewContext(r.Context(), t, root))
-			if r.Header.Get(trace.Header) == trace.RequestEcho {
-				// The tree must be on the wire before the headers flush;
-				// the hook runs at the last settable moment and encodes a
-				// stamped snapshot of the still-open tree.
-				rec.SetBeforeWrite(func() {
-					rec.Header().Set(trace.Header, trace.EncodeSpan(t.SnapshotRoot()))
-				})
-			}
-		}
-		start := time.Now()
-		defer func() {
-			if p := recover(); p != nil {
-				s.log.Error("panic serving request",
-					"request_id", reqID, "method", r.Method, "path", r.URL.Path, "panic", p)
-				// Headers may already be out; writeCode is then a no-op
-				// on the status but the connection is torn down by the
-				// deferred write error anyway.
-				if rec.Status() == 0 {
-					writeCode(rec, http.StatusInternalServerError, codeInternal, "internal error")
-				}
-			} else {
-				s.log.Log(r.Context(), slog.LevelInfo, "request",
-					"request_id", reqID, "method", r.Method, "path", r.URL.Path,
-					"status", rec.Status(), "duration", time.Since(start))
-			}
-			// Handlers that never wrote still owe the caller its echo.
-			rec.FireBeforeWrite()
-			s.tracer.Finish(tr)
-		}()
-		next.ServeHTTP(rec, r)
+		w.Header().Set(ReplicaHeader, id)
+		next.ServeHTTP(w, r)
 	})
 }

@@ -9,112 +9,16 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/overload"
+	"repro/internal/tier"
 )
-
-// getWithDeadline performs a GET carrying an X-IVR-Deadline header.
-func getWithDeadline(t *testing.T, url, deadline string) *http.Response {
-	t.Helper()
-	req, err := http.NewRequest("GET", url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(overload.DeadlineHeader, deadline)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp
-}
-
-// wantRespEnvelope asserts the uniform error body on an already-made
-// response (the header-carrying requests wantEnvelope cannot make).
-func wantRespEnvelope(t *testing.T, resp *http.Response, wantStatus int, wantCode string) {
-	t.Helper()
-	defer resp.Body.Close()
-	if resp.StatusCode != wantStatus {
-		t.Fatalf("status %d, want %d", resp.StatusCode, wantStatus)
-	}
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatalf("decode envelope: %v", err)
-	}
-	if env.Error.Code != wantCode || env.Error.Message == "" {
-		t.Fatalf("envelope = %+v, want code %q with message", env, wantCode)
-	}
-}
-
-// TestSearchDeadlineHeader pins the serve tier's deadline protocol on
-// the search surface: a spent inbound budget answers the typed 504
-// before any session or parameter work, a malformed one is a 400, and
-// a live one serves the page.
-func TestSearchDeadlineHeader(t *testing.T) {
-	ts, _, srv := newTestServer(t)
-	id := createSession(t, ts, nil)
-	searchURL := ts.URL + "/api/v1/search?session=" + id + "&q=goal"
-
-	for _, v := range []string{"0", "-40"} {
-		wantRespEnvelope(t, getWithDeadline(t, searchURL, v), http.StatusGatewayTimeout, codeDeadline)
-	}
-	if n := srv.deadline.Load(); n != 2 {
-		t.Errorf("deadline_exceeded counter = %d after 2 spent budgets, want 2", n)
-	}
-
-	for _, v := range []string{"bogus", "+250", "600001"} {
-		wantRespEnvelope(t, getWithDeadline(t, searchURL, v), http.StatusBadRequest, codeInvalid)
-	}
-
-	resp := getWithDeadline(t, searchURL, "5000")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("live-budget search: status %d, want 200", resp.StatusCode)
-	}
-
-	// The stream surface runs the same gate.
-	wantRespEnvelope(t, getWithDeadline(t, ts.URL+"/api/v1/search/stream?session="+id+"&q=goal", "0"),
-		http.StatusGatewayTimeout, codeDeadline)
-}
-
-// TestSearchShedEnvelope pins the serve tier's admission refusal: with
-// the sole concurrency slot held, searches shed as typed 429s with
-// Retry-After, and admit again the moment the slot frees.
-func TestSearchShedEnvelope(t *testing.T) {
-	ts, _, srv := newTestServer(t, WithAdmission(metrics.AdmissionConfig{
-		InitialLimit: 1, MinLimit: 1, MaxQueue: 0,
-	}))
-	id := createSession(t, ts, nil)
-	searchURL := ts.URL + "/api/v1/search?session=" + id + "&q=goal"
-
-	ticket, err := srv.gate.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(searchURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("shed response missing Retry-After")
-	}
-	wantRespEnvelope(t, resp, http.StatusTooManyRequests, codeOverloaded)
-
-	ticket.Release()
-	doJSON(t, "GET", searchURL, nil, http.StatusOK, nil)
-	if st := srv.gate.Stats(); st.Shed != 1 {
-		t.Errorf("gate shed count = %d, want 1", st.Shed)
-	}
-}
 
 // TestSearchErrMapping pins the non-2xx vocabulary of the search error
 // mapper: a client hangup is the typed 499 — never a generic 500 — and
 // a spent budget is the typed 504, from either the local sentinel or a
-// lower tier's context error.
+// lower tier's context error. (The gate's own refusals — arrival
+// check, shed, queue expiry — are pinned for every tier at once by the
+// contract table in internal/tier.)
 func TestSearchErrMapping(t *testing.T) {
 	_, _, srv := newTestServer(t)
 	cases := []struct {
@@ -122,16 +26,24 @@ func TestSearchErrMapping(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{context.Canceled, statusClientClosed, codeCanceled},
-		{fmt.Errorf("scatter: %w", context.Canceled), statusClientClosed, codeCanceled},
-		{overload.ErrDeadlineExceeded, http.StatusGatewayTimeout, codeDeadline},
-		{context.DeadlineExceeded, http.StatusGatewayTimeout, codeDeadline},
-		{errors.New("disk on fire"), http.StatusInternalServerError, codeInternal},
+		{context.Canceled, tier.StatusClientClosed, tier.CodeCanceled},
+		{fmt.Errorf("scatter: %w", context.Canceled), tier.StatusClientClosed, tier.CodeCanceled},
+		{overload.ErrDeadlineExceeded, http.StatusGatewayTimeout, tier.CodeDeadline},
+		{context.DeadlineExceeded, http.StatusGatewayTimeout, tier.CodeDeadline},
+		{errors.New("disk on fire"), http.StatusInternalServerError, tier.CodeInternal},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
 		srv.writeSearchErr(rec, tc.err, "sess")
-		resp := rec.Result()
-		wantRespEnvelope(t, resp, tc.wantStatus, tc.wantCode)
+		var env tier.ErrorEnvelope
+		if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+			t.Fatalf("%v: decode envelope: %v", tc.err, err)
+		}
+		if rec.Code != tc.wantStatus || env.Error.Code != tc.wantCode || env.Error.Message == "" {
+			t.Errorf("%v: got %d %+v, want %d %q", tc.err, rec.Code, env.Error, tc.wantStatus, tc.wantCode)
+		}
+	}
+	if n := srv.gate.DeadlineExceeded(); n != 2 {
+		t.Errorf("deadline_exceeded counter = %d after 2 spent budgets, want 2", n)
 	}
 }

@@ -31,9 +31,9 @@
 //	                                              descriptor without restarting
 //	GET    /metrics                               Prometheus scrape alias
 //
-// Legacy unversioned /api/... paths respond 308 Permanent Redirect to
-// the /api/v1 equivalent. Every response carries an X-Request-Id
-// header (honouring the client's, minting one otherwise).
+// Anything else — unknown /api/v1 routes and unversioned /api/...
+// paths alike — answers the envelope 404. Every response carries an
+// X-Request-Id header (honouring the client's, minting one otherwise).
 package webapi
 
 import (
@@ -58,31 +58,9 @@ import (
 	"repro/internal/profile"
 	"repro/internal/retrieval"
 	"repro/internal/sessionstore"
+	"repro/internal/tier"
 	"repro/internal/trace"
 )
-
-// Error codes in the envelope; stable API vocabulary for clients.
-const (
-	codeInvalid  = "invalid_request"
-	codeNotFound = "not_found"
-	codeInternal = "internal"
-	codeTooMany  = "too_many_sessions"
-	codeDraining = "draining"
-	// codeOverloaded marks a typed admission shed (429 + Retry-After):
-	// the tier refused the work while refusing was still cheap.
-	codeOverloaded = "overloaded"
-	// codeDeadline marks a request whose X-IVR-Deadline budget was
-	// spent — on arrival, queued at admission, or mid-retrieval (504).
-	codeDeadline = "deadline_exceeded"
-	// codeCanceled marks a search abandoned because the caller hung up
-	// mid-retrieval. Nobody reads the body, but the status keeps client
-	// hangups out of the 5xx ledger.
-	codeCanceled = "client_closed"
-)
-
-// statusClientClosed is the nginx-convention 499 for a client that
-// disconnected before the response was written.
-const statusClientClosed = 499
 
 // Pagination bounds.
 const (
@@ -96,21 +74,17 @@ const (
 type Server struct {
 	sys       *core.System
 	mgr       *core.SessionManager
-	log       *slog.Logger
 	metrics   *metrics.Registry
 	tracer    *trace.Collector
 	ownsMgr   bool
 	replicaID string
 	topo      TopologyAdmin
 	handler   http.Handler
-	// gate bounds concurrent search work (admission control); clock
-	// drives X-IVR-Deadline budget expiry (nil = real time).
-	gate  *metrics.Admission
-	clock overload.Clock
-	// deadline counts searches answered deadline_exceeded; partial
-	// counts degraded (partial) pages served.
-	deadline atomic.Int64
-	partial  atomic.Int64
+	// gate runs the overload protocol on search work: X-IVR-Deadline
+	// budgets, admission control, and the deadline_exceeded ledger.
+	gate *overload.Gate
+	// partial counts degraded (partial) pages served.
+	partial atomic.Int64
 }
 
 // TopologyAdmin is the segment-replica topology surface a distributed
@@ -137,7 +111,7 @@ type serverConfig struct {
 	slowQuery   time.Duration
 	traceRing   int
 	topo        TopologyAdmin
-	admission   metrics.AdmissionConfig
+	admission   overload.AdmissionConfig
 	clock       overload.Clock
 }
 
@@ -199,7 +173,7 @@ func WithTraceRing(n int) Option {
 // "overloaded" sheds past that. Without this option the gate is
 // effectively transparent (limit 4096) but its ivr_admission_*
 // families are still scrapeable.
-func WithAdmission(cfg metrics.AdmissionConfig) Option {
+func WithAdmission(cfg overload.AdmissionConfig) Option {
 	return func(c *serverConfig) { c.admission = cfg }
 }
 
@@ -229,17 +203,8 @@ func NewServer(sys *core.System, opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &Server{sys: sys, mgr: cfg.mgr, log: cfg.logger, metrics: metrics.NewRegistry(), replicaID: cfg.replicaID, topo: cfg.topo, clock: cfg.clock}
-	if s.log == nil {
-		s.log = slog.New(slog.DiscardHandler)
-	}
-	acfg := cfg.admission
-	if acfg.InitialLimit <= 0 {
-		// Transparent by default: the gate exists (telemetry families
-		// always present) but does not bind until configured.
-		acfg.InitialLimit = 4096
-	}
-	s.gate = metrics.NewAdmission(acfg)
+	s := &Server{sys: sys, mgr: cfg.mgr, metrics: metrics.NewRegistry(), replicaID: cfg.replicaID, topo: cfg.topo}
+	s.gate = overload.NewGate(trace.TierServe, &cfg.admission, cfg.clock)
 	if s.mgr == nil {
 		m, err := core.NewSessionManager(sys, core.ManagerOptions{
 			TTL:         cfg.sessionTTL,
@@ -260,7 +225,15 @@ func NewServer(sys *core.System, opts ...Option) (*Server, error) {
 	// Stage quantiles (expand/prepare/segment/merge/...) observed by the
 	// collector surface in the retrieval section of /api/v1/metrics.
 	sys.SetStageTelemetry(s.tracer.StageSummaries)
-	s.handler = s.withMiddleware(s.routes())
+	s.handler = trace.HTTPMiddleware(trace.HTTPConfig{
+		Tier:      trace.TierServe,
+		Collector: s.tracer,
+		Skip:      skipTrace,
+		Logger:    cfg.logger,
+	})(s.routes())
+	if s.replicaID != "" {
+		s.handler = withReplicaHeader(s.replicaID, s.handler)
+	}
 	return s, nil
 }
 
@@ -283,6 +256,9 @@ func (s *Server) Metrics() *metrics.Registry { return s.metrics }
 // Tracer exposes the server's trace collector (ops and tests).
 func (s *Server) Tracer() *trace.Collector { return s.tracer }
 
+// Gate exposes the server's overload gate (ops and tests).
+func (s *Server) Gate() *overload.Gate { return s.gate }
+
 // Close stops the session manager when the server owns it.
 func (s *Server) Close() error {
 	if s.ownsMgr {
@@ -294,23 +270,20 @@ func (s *Server) Close() error {
 // Handler returns the middleware-wrapped route table.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Telemetry labels for the two catch-all handlers. Real routes are
-// labelled by their mux pattern ("GET /api/v1/search"); the catch-alls
-// follow the same "<method> <pattern>" shape with "*" as the
-// any-method marker so every label in /api/v1/metrics parses the same
-// way.
-const (
-	routeLegacy    = "* /api/"
-	routeUnmatched = "* /"
-)
+// routeUnmatched is the telemetry label of the catch-all handler. Real
+// routes are labelled by their mux pattern ("GET /api/v1/search"); the
+// catch-all follows the same "<method> <pattern>" shape with "*" as
+// the any-method marker so every label in /api/v1/metrics parses the
+// same way.
+const routeUnmatched = "* /"
 
-// routes builds the versioned route table plus the legacy redirect.
-// Every handler is registered through instrument, which feeds the
-// route's counter and latency histogram in the metrics registry.
+// routes builds the versioned route table. Every handler is registered
+// through the registry's Instrument wrapper, which feeds the route's
+// counter and latency histogram under its fixed pattern label.
 func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, s.instrument(pattern, h))
+		mux.HandleFunc(pattern, s.metrics.Instrument(pattern, h))
 	}
 	handle("POST /api/v1/sessions", s.handleCreateSession)
 	handle("GET /api/v1/sessions", s.handleListSessions)
@@ -322,71 +295,30 @@ func (s *Server) routes() http.Handler {
 	handle("GET /api/v1/shots/{id}", s.handleShot)
 	handle("GET /api/v1/healthz", s.handleHealthz)
 	handle("GET /api/v1/metrics", s.handleMetrics)
-	handle("GET /api/v1/debug/traces", s.handleTraces)
+	handle("GET /api/v1/debug/traces", s.tracer.ServeHTTP)
 	handle("GET /api/v1/admin/topology", s.handleGetTopology)
 	handle("POST /api/v1/admin/topology", s.handlePostTopology)
 	handle("GET /metrics", s.handlePrometheus)
-	mux.HandleFunc("/api/", s.instrument(routeLegacy, s.handleLegacy))
-	mux.HandleFunc("/", s.instrument(routeUnmatched, func(w http.ResponseWriter, r *http.Request) {
-		writeCode(w, http.StatusNotFound, codeNotFound, "no route %s %s", r.Method, r.URL.Path)
+	mux.HandleFunc("/", s.metrics.Instrument(routeUnmatched, func(w http.ResponseWriter, r *http.Request) {
+		tier.WriteError(w, http.StatusNotFound, tier.CodeNotFound, "no route %s %s", r.Method, r.URL.Path)
 	}))
 	return mux
-}
-
-// handleLegacy redirects unversioned /api/... paths to /api/v1/...
-// with 308 (method and body preserved), and turns unknown /api/v1
-// routes into envelope 404s instead of the mux's plain-text default.
-func (s *Server) handleLegacy(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.URL.Path, "/api/v1/") || r.URL.Path == "/api/v1" {
-		writeCode(w, http.StatusNotFound, codeNotFound, "no route %s %s", r.Method, r.URL.Path)
-		return
-	}
-	target := "/api/v1/" + strings.TrimPrefix(r.URL.Path, "/api/")
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	http.Redirect(w, r, target, http.StatusPermanentRedirect)
-}
-
-// errorEnvelope is the uniform error body: {"error":{"code","message"}}.
-type errorEnvelope struct {
-	Error errorDetail `json:"error"`
-}
-
-type errorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// Encoding errors past the header cannot be reported; the JSON
-	// values here are all marshal-safe.
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeCode(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorEnvelope{Error: errorDetail{
-		Code:    code,
-		Message: fmt.Sprintf(format, args...),
-	}})
 }
 
 // writeManagerErr maps SessionManager errors onto the envelope.
 func writeManagerErr(w http.ResponseWriter, err error, sessionID string) {
 	switch {
 	case errors.Is(err, core.ErrSessionNotFound):
-		writeCode(w, http.StatusNotFound, codeNotFound, "unknown session %q", sessionID)
+		tier.WriteError(w, http.StatusNotFound, tier.CodeNotFound, "unknown session %q", sessionID)
 	case errors.Is(err, core.ErrTooManySessions):
-		writeCode(w, http.StatusServiceUnavailable, codeTooMany, "session capacity reached")
+		tier.WriteError(w, http.StatusServiceUnavailable, tier.CodeTooMany, "session capacity reached")
 	case errors.Is(err, core.ErrDraining):
 		// The replica is handing its sessions off; state is already in
 		// the shared store, so the request succeeds anywhere else.
 		w.Header().Set("Retry-After", "1")
-		writeCode(w, http.StatusServiceUnavailable, codeDraining, "replica draining, retry elsewhere")
+		tier.WriteError(w, http.StatusServiceUnavailable, tier.CodeDraining, "replica draining, retry elsewhere")
 	default:
-		writeCode(w, http.StatusInternalServerError, codeInternal, "%v", err)
+		tier.WriteError(w, http.StatusInternalServerError, tier.CodeInternal, "%v", err)
 	}
 }
 
@@ -404,7 +336,7 @@ type createSessionResponse struct {
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req createSessionRequest
 	if err := decodeBody(r.Body, &req); err != nil {
-		writeCode(w, http.StatusBadRequest, codeInvalid, "invalid JSON: %v", err)
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "invalid JSON: %v", err)
 		return
 	}
 	var user *profile.Profile
@@ -417,11 +349,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		for name, v := range req.Interests {
 			cat, err := collection.ParseCategory(name)
 			if err != nil {
-				writeCode(w, http.StatusBadRequest, codeInvalid, "%v", err)
+				tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "%v", err)
 				return
 			}
 			if v < 0 || v > 1 {
-				writeCode(w, http.StatusBadRequest, codeInvalid, "interest %q=%v outside [0,1]", name, v)
+				tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "interest %q=%v outside [0,1]", name, v)
 				return
 			}
 			user.SetInterest(cat, v)
@@ -432,7 +364,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeManagerErr(w, err, "")
 		return
 	}
-	writeJSON(w, http.StatusCreated, createSessionResponse{SessionID: id})
+	tier.WriteJSON(w, http.StatusCreated, createSessionResponse{SessionID: id})
 }
 
 // decodeBody decodes one JSON value, tolerating an empty body (the
@@ -476,7 +408,7 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 		writeManagerErr(w, err, id)
 		return
 	}
-	writeJSON(w, http.StatusOK, state)
+	tier.WriteJSON(w, http.StatusOK, state)
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
@@ -551,7 +483,7 @@ func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
 			resp.Sessions = append(resp.Sessions, entry)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	tier.WriteJSON(w, http.StatusOK, resp)
 }
 
 // sessionCounters is the session-table section of the metrics body.
@@ -578,9 +510,9 @@ type metricsResponse struct {
 	// Admission is the serve tier's search admission gate; the overload
 	// counters tally typed deadline_exceeded answers and degraded
 	// (partial) pages served.
-	Admission        metrics.AdmissionStats `json:"admission"`
-	DeadlineExceeded int64                  `json:"deadline_exceeded,omitempty"`
-	PartialResults   int64                  `json:"partial_results,omitempty"`
+	Admission        overload.AdmissionStats `json:"admission"`
+	DeadlineExceeded int64                   `json:"deadline_exceeded,omitempty"`
+	PartialResults   int64                   `json:"partial_results,omitempty"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -589,7 +521,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := s.mgr.Stats()
-	writeJSON(w, http.StatusOK, metricsResponse{
+	tier.WriteJSON(w, http.StatusOK, metricsResponse{
 		Snapshot: s.metrics.TakeSnapshot(),
 		Replica:  s.replicaID,
 		Draining: s.mgr.Draining(),
@@ -598,8 +530,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Restored: st.Restored, Persisted: st.Persisted, PersistErrors: st.PersistErrors,
 		},
 		Search:           s.sys.RetrievalSnapshot(),
-		Admission:        s.gate.Stats(),
-		DeadlineExceeded: s.deadline.Load(),
+		Admission:        s.gate.Admission().Stats(),
+		DeadlineExceeded: s.gate.DeadlineExceeded(),
 		PartialResults:   s.partial.Load(),
 	})
 }
@@ -672,9 +604,7 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, _ *http.Request) {
 		pw.Family("ivr_retry_budget_denied_total", "counter")
 		pw.Sample("ivr_retry_budget_denied_total", float64(rb.Denied))
 	}
-	metrics.WriteAdmissionPrometheus(pw, s.gate.Stats())
-	pw.Family("ivr_deadline_exceeded_total", "counter")
-	pw.Sample("ivr_deadline_exceeded_total", float64(s.deadline.Load()))
+	s.gate.WritePrometheus(pw)
 	pw.Family("ivr_partial_results_total", "counter")
 	pw.Sample("ivr_partial_results_total", float64(s.partial.Load()))
 }
@@ -698,24 +628,24 @@ const maxTopologyBody = 1 << 20
 
 func (s *Server) handleGetTopology(w http.ResponseWriter, r *http.Request) {
 	if s.topo == nil {
-		writeCode(w, http.StatusNotFound, codeNotFound, "no topology admin wired (in-process engine?)")
+		tier.WriteError(w, http.StatusNotFound, tier.CodeNotFound, "no topology admin wired (in-process engine?)")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.topo.DescribeTopology())
+	tier.WriteJSON(w, http.StatusOK, s.topo.DescribeTopology())
 }
 
 func (s *Server) handlePostTopology(w http.ResponseWriter, r *http.Request) {
 	if s.topo == nil {
-		writeCode(w, http.StatusNotFound, codeNotFound, "no topology admin wired (in-process engine?)")
+		tier.WriteError(w, http.StatusNotFound, tier.CodeNotFound, "no topology admin wired (in-process engine?)")
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxTopologyBody+1))
 	if err != nil {
-		writeCode(w, http.StatusBadRequest, codeInvalid, "read descriptor: %v", err)
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "read descriptor: %v", err)
 		return
 	}
 	if len(body) > maxTopologyBody {
-		writeCode(w, http.StatusRequestEntityTooLarge, codeInvalid, "descriptor exceeds %d bytes", maxTopologyBody)
+		tier.WriteError(w, http.StatusRequestEntityTooLarge, tier.CodeInvalid, "descriptor exceeds %d bytes", maxTopologyBody)
 		return
 	}
 	if err := s.topo.ApplyTopology(r.Context(), body); err != nil {
@@ -723,20 +653,10 @@ func (s *Server) handlePostTopology(w http.ResponseWriter, r *http.Request) {
 		// collection mismatch — left the running topology untouched;
 		// surface the typed error text so the operator can fix the
 		// descriptor and re-POST.
-		writeCode(w, http.StatusBadRequest, codeInvalid, "topology rejected: %v", err)
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "topology rejected: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.topo.DescribeTopology())
-}
-
-// tracesResponse is the /api/v1/debug/traces body: the ring of
-// recently finished traces, newest first.
-type tracesResponse struct {
-	Traces []*trace.Entry `json:"traces"`
-}
-
-func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, tracesResponse{Traces: s.tracer.Traces()})
+	tier.WriteJSON(w, http.StatusOK, s.topo.DescribeTopology())
 }
 
 // searchHit is one result entry with display metadata.
@@ -787,7 +707,7 @@ func parsePageParams(w http.ResponseWriter, r *http.Request) (offset, limit int,
 	if os := r.URL.Query().Get("offset"); os != "" {
 		v, err := strconv.Atoi(os)
 		if err != nil || v < 0 {
-			writeCode(w, http.StatusBadRequest, codeInvalid, "bad offset %q", os)
+			tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "bad offset %q", os)
 			return 0, 0, false
 		}
 		offset = v
@@ -795,7 +715,7 @@ func parsePageParams(w http.ResponseWriter, r *http.Request) (offset, limit int,
 	if ls := r.URL.Query().Get("limit"); ls != "" {
 		v, err := strconv.Atoi(ls)
 		if err != nil || v <= 0 || v > maxLimit {
-			writeCode(w, http.StatusBadRequest, codeInvalid, "bad limit %q (1..%d)", ls, maxLimit)
+			tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "bad limit %q (1..%d)", ls, maxLimit)
 			return 0, 0, false
 		}
 		limit = v
@@ -811,7 +731,7 @@ func (s *Server) parseSearchParams(w http.ResponseWriter, r *http.Request) (sear
 		query:     r.URL.Query().Get("q"),
 	}
 	if p.sessionID == "" || p.query == "" {
-		writeCode(w, http.StatusBadRequest, codeInvalid, "need session and q parameters")
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "need session and q parameters")
 		return p, false
 	}
 	var ok bool
@@ -824,7 +744,7 @@ func (s *Server) parseSearchParams(w http.ResponseWriter, r *http.Request) (sear
 		for _, name := range strings.Split(cs, ",") {
 			cat, err := collection.ParseCategory(strings.TrimSpace(name))
 			if err != nil {
-				writeCode(w, http.StatusBadRequest, codeInvalid, "%v", err)
+				tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "%v", err)
 				return p, false
 			}
 			cats = append(cats, cat)
@@ -889,56 +809,17 @@ func (s *Server) runSearch(ctx context.Context, p searchParams) (searchPage, err
 	return page, err
 }
 
-// overloadGate applies the serve tier's overload protocol to a search
-// request: it parses the X-IVR-Deadline budget header (malformed → 400,
-// already spent → 504), binds the remaining budget into the request
-// context, and claims an admission ticket (limit reached with a full
-// queue → typed 429 + Retry-After; budget spent while queued → 504).
-// On success the caller owns the returned release func.
-func (s *Server) overloadGate(w http.ResponseWriter, r *http.Request) (context.Context, func(), bool) {
-	budget, err := overload.ParseDeadline(r.Header.Get(overload.DeadlineHeader))
-	if err != nil {
-		if errors.Is(err, overload.ErrDeadlineExpired) {
-			s.deadline.Add(1)
-			writeCode(w, http.StatusGatewayTimeout, codeDeadline, "deadline budget spent before arrival")
-		} else {
-			writeCode(w, http.StatusBadRequest, codeInvalid, "bad %s header: %v", overload.DeadlineHeader, err)
-		}
-		return nil, nil, false
-	}
-	ctx := r.Context()
-	cancel := func() {}
-	if budget > 0 {
-		ctx, cancel = overload.WithBudget(ctx, budget, s.clock)
-	}
-	ticket, err := s.gate.Acquire(ctx)
-	if err != nil {
-		cancel()
-		if errors.Is(err, metrics.ErrShed) {
-			w.Header().Set("Retry-After", "1")
-			writeCode(w, http.StatusTooManyRequests, codeOverloaded, "serve tier at concurrency limit")
-			return nil, nil, false
-		}
-		s.deadline.Add(1)
-		writeCode(w, http.StatusGatewayTimeout, codeDeadline, "deadline budget spent in admission queue")
-		return nil, nil, false
-	}
-	release := func() { ticket.Release(); cancel() }
-	return ctx, release, true
-}
-
 // writeSearchErr maps a search failure onto the envelope: a spent
 // deadline budget — detected locally or reported by a lower tier — is
 // the typed 504, everything else defers to the session-manager
 // mapping.
 func (s *Server) writeSearchErr(w http.ResponseWriter, err error, sessionID string) {
 	if errors.Is(err, overload.ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded) {
-		s.deadline.Add(1)
-		writeCode(w, http.StatusGatewayTimeout, codeDeadline, "deadline budget exhausted during retrieval")
+		s.gate.Exceeded(w, "deadline budget exhausted during retrieval")
 		return
 	}
 	if errors.Is(err, context.Canceled) {
-		writeCode(w, statusClientClosed, codeCanceled, "request cancelled by caller")
+		tier.WriteError(w, tier.StatusClientClosed, tier.CodeCanceled, "request cancelled by caller")
 		return
 	}
 	writeManagerErr(w, err, sessionID)
@@ -952,7 +833,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, release, ok := s.overloadGate(w, r)
+	ctx, release, ok := s.gate.Enter(w, r, 0)
 	if !ok {
 		return
 	}
@@ -963,7 +844,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_, enc := trace.StartSpan(r.Context(), "encode")
-	writeJSON(w, http.StatusOK, page)
+	tier.WriteJSON(w, http.StatusOK, page)
 	enc.End()
 }
 
@@ -990,7 +871,7 @@ func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ctx, release, ok := s.overloadGate(w, r)
+	ctx, release, ok := s.gate.Enter(w, r, 0)
 	if !ok {
 		return
 	}
@@ -1045,11 +926,11 @@ func (e errBadEvent) Error() string { return e.err.Error() }
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var req eventsRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeCode(w, http.StatusBadRequest, codeInvalid, "invalid JSON: %v", err)
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "invalid JSON: %v", err)
 		return
 	}
 	if req.SessionID == "" || len(req.Events) == 0 {
-		writeCode(w, http.StatusBadRequest, codeInvalid, "need session_id and events")
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "need session_id and events")
 		return
 	}
 	err := s.mgr.With(req.SessionID, func(sess *core.Session) error {
@@ -1065,13 +946,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var bad errBadEvent
 		if errors.As(err, &bad) {
-			writeCode(w, http.StatusBadRequest, codeInvalid, "%v", bad.err)
+			tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "%v", bad.err)
 			return
 		}
 		writeManagerErr(w, err, req.SessionID)
 		return
 	}
-	writeJSON(w, http.StatusOK, eventsResponse{Observed: len(req.Events)})
+	tier.WriteJSON(w, http.StatusOK, eventsResponse{Observed: len(req.Events)})
 }
 
 // shotResponse is the shot metadata a front-end renders.
@@ -1093,7 +974,7 @@ func (s *Server) handleShot(w http.ResponseWriter, r *http.Request) {
 	coll := s.sys.Collection()
 	shot := coll.Shot(collection.ShotID(id))
 	if shot == nil {
-		writeCode(w, http.StatusNotFound, codeNotFound, "unknown shot %q", id)
+		tier.WriteError(w, http.StatusNotFound, tier.CodeNotFound, "unknown shot %q", id)
 		return
 	}
 	resp := shotResponse{
@@ -1112,7 +993,7 @@ func (s *Server) handleShot(w http.ResponseWriter, r *http.Request) {
 	for _, cs := range shot.Concepts {
 		resp.Concepts = append(resp.Concepts, string(cs.Concept))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	tier.WriteJSON(w, http.StatusOK, resp)
 }
 
 // healthzResponse is the liveness body, with session-table stats for
@@ -1133,7 +1014,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// Live, but asking the front tier to send sessions elsewhere.
 		status = "draining"
 	}
-	writeJSON(w, http.StatusOK, healthzResponse{
+	tier.WriteJSON(w, http.StatusOK, healthzResponse{
 		Status:   status,
 		Replica:  s.replicaID,
 		Draining: s.mgr.Draining(),
@@ -1142,6 +1023,3 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Evicted:  st.Evicted,
 	})
 }
-
-// ErrServerClosed re-exports for callers wiring graceful shutdown.
-var ErrServerClosed = errors.New("webapi: server closed")

@@ -406,56 +406,19 @@ func TestShotMetadata(t *testing.T) {
 	wantEnvelope(t, "GET", ts.URL+"/api/v1/shots/nope", nil, http.StatusNotFound, "not_found")
 }
 
-// TestLegacyRedirect: the unversioned paths answer 308 with the /api/v1
-// location (query preserved), so old clients keep working.
-func TestLegacyRedirect(t *testing.T) {
-	ts, _, _ := newTestServer(t)
-	for _, tc := range []struct {
-		method, path, wantLoc string
-	}{
-		{"GET", "/api/healthz", "/api/v1/healthz"},
-		{"POST", "/api/sessions", "/api/v1/sessions"},
-		{"GET", "/api/search?session=s1&q=cup+final", "/api/v1/search?session=s1&q=cup+final"},
-		{"GET", "/api/shots/v0001_s001", "/api/v1/shots/v0001_s001"},
-		{"POST", "/api/events", "/api/v1/events"},
-	} {
-		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, nil)
-		resp, err := noRedirectClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: status %d, want 308", tc.method, tc.path, resp.StatusCode)
-			continue
-		}
-		if loc := resp.Header.Get("Location"); loc != tc.wantLoc {
-			t.Errorf("%s %s: location %q, want %q", tc.method, tc.path, loc, tc.wantLoc)
-		}
-	}
-	// A legacy client that follows redirects transparently completes
-	// the old create-session call against the new route.
-	resp, err := http.Post(ts.URL+"/api/sessions", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Errorf("redirected create: status %d, want 201", resp.StatusCode)
-	}
-}
-
 func TestUnknownRouteEnvelope(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	wantEnvelope(t, "GET", ts.URL+"/api/v1/nope", nil, http.StatusNotFound, "not_found")
 	wantEnvelope(t, "GET", ts.URL+"/elsewhere", nil, http.StatusNotFound, "not_found")
+	// Unversioned /api/... paths are no longer redirected to /api/v1.
+	wantEnvelope(t, "POST", ts.URL+"/api/sessions", map[string]any{}, http.StatusNotFound, "not_found")
 }
 
 // TestCatchAllRouteLabelsBounded is the regression test for catch-all
-// label normalization: arbitrary request paths — unmatched, legacy
-// /api/..., unknown /api/v1/... — must collapse onto the fixed
-// "* /api/" and "* /" telemetry labels instead of minting one metrics
-// route per path. The distributed RPC mux has the matching test in
+// label normalization: arbitrary request paths — unmatched,
+// unversioned /api/..., unknown /api/v1/... — must collapse onto the
+// one fixed "* /" telemetry label instead of minting one metrics route
+// per path. The distributed RPC mux has the matching test in
 // internal/distrib.
 func TestCatchAllRouteLabelsBounded(t *testing.T) {
 	ts, _, srv := newTestServer(t)
@@ -472,13 +435,13 @@ func TestCatchAllRouteLabelsBounded(t *testing.T) {
 		resp.Body.Close()
 	}
 	for i := 0; i < 20; i++ {
-		get(fmt.Sprintf("/random/path%d", i))      // unmatched -> "* /"
-		get(fmt.Sprintf("/api/legacy%d", i))       // 308 redirect -> "* /api/"
-		get(fmt.Sprintf("/api/v1/unknown%d", i))   // unknown v1 -> "* /api/"
-		get(fmt.Sprintf("/healthz-imposter%d", i)) // unmatched -> "* /"
+		get(fmt.Sprintf("/random/path%d", i))
+		get(fmt.Sprintf("/api/legacy%d", i))
+		get(fmt.Sprintf("/api/v1/unknown%d", i))
+		get(fmt.Sprintf("/healthz-imposter%d", i))
 	}
 	snap := srv.Metrics().TakeSnapshot()
-	allowed := map[string]bool{routeLegacy: true, routeUnmatched: true}
+	allowed := map[string]bool{routeUnmatched: true}
 	for _, pattern := range []string{
 		"POST /api/v1/sessions", "GET /api/v1/sessions", "GET /api/v1/sessions/{id}",
 		"DELETE /api/v1/sessions/{id}", "GET /api/v1/search", "GET /api/v1/search/stream",
@@ -493,11 +456,8 @@ func TestCatchAllRouteLabelsBounded(t *testing.T) {
 			t.Errorf("unexpected metrics route label %q — per-route metrics exploded", route)
 		}
 	}
-	if n := snap.Routes[routeUnmatched].Count; n != 40 {
-		t.Errorf("%q count = %d, want 40", routeUnmatched, n)
-	}
-	if n := snap.Routes[routeLegacy].Count; n != 40 {
-		t.Errorf("%q count = %d, want 40", routeLegacy, n)
+	if n := snap.Routes[routeUnmatched].Count; n != 80 {
+		t.Errorf("%q count = %d, want 80", routeUnmatched, n)
 	}
 }
 
@@ -536,39 +496,6 @@ func TestSessionTTLOverHTTP(t *testing.T) {
 	now = now.Add(2 * time.Minute)
 	mu.Unlock()
 	wantEnvelope(t, "GET", ts.URL+"/api/v1/sessions/"+id, nil, http.StatusNotFound, "not_found")
-}
-
-func TestPanicRecovery(t *testing.T) {
-	arch, err := synth.Generate(synth.TinyConfig(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystemFromCollection(arch.Collection, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	// Wrap a panicking handler in the server's middleware chain.
-	h := srv.withMiddleware(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		panic("kaboom")
-	}))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/healthz", nil))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", rec.Code)
-	}
-	var env struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "internal" {
-		t.Fatalf("panic body = %q (%v)", rec.Body.String(), err)
-	}
 }
 
 func TestConcurrentSessions(t *testing.T) {
@@ -787,7 +714,7 @@ func TestMetricsSearchSection(t *testing.T) {
 	doJSON(t, "GET", fmt.Sprintf("%s/api/v1/search?session=%s&q=%s", ts.URL, id, q), nil, http.StatusOK, nil)
 	doJSON(t, "GET", fmt.Sprintf("%s/api/v1/search?session=%s&q=%s", ts.URL, id, q), nil, http.StatusOK, nil)
 	// Exercise the catch-alls for the label check.
-	doJSON(t, "GET", ts.URL+"/api/sessions", nil, http.StatusPermanentRedirect, nil)
+	wantEnvelope(t, "GET", ts.URL+"/api/sessions", nil, http.StatusNotFound, "not_found")
 	wantEnvelope(t, "GET", ts.URL+"/nope", nil, http.StatusNotFound, "not_found")
 
 	var m struct {
@@ -839,11 +766,8 @@ func TestMetricsSearchSection(t *testing.T) {
 	if docs != arch.Collection.NumShots() {
 		t.Errorf("segment docs sum to %d, want %d", docs, arch.Collection.NumShots())
 	}
-	if m.Routes[routeLegacy].Count == 0 {
-		t.Errorf("legacy catch-all not recorded under %q; routes: %v", routeLegacy, keysOf(m.Routes))
-	}
-	if m.Routes[routeUnmatched].Count == 0 {
-		t.Errorf("unmatched catch-all not recorded under %q", routeUnmatched)
+	if n := m.Routes[routeUnmatched].Count; n != 2 {
+		t.Errorf("catch-all %q count = %d, want both unknown shapes (2); routes: %v", routeUnmatched, n, keysOf(m.Routes))
 	}
 }
 

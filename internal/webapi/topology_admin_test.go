@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/retrieval"
+	"repro/internal/tier"
 )
 
 // stubTopoAdmin records ApplyTopology calls and scripts their outcome.
@@ -75,7 +76,7 @@ func TestTopologyAdminEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Error.Code != codeInvalid || !strings.Contains(env.Error.Message, "mismatches") {
+	if env.Error.Code != tier.CodeInvalid || !strings.Contains(env.Error.Message, "mismatches") {
 		t.Fatalf("envelope = %+v", env)
 	}
 
