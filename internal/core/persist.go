@@ -1,13 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/binfmt"
 	"repro/internal/feedback"
 	"repro/internal/ilog"
 	"repro/internal/profile"
@@ -69,26 +69,24 @@ func (sess *Session) EncodeState() ([]byte, error) {
 }
 
 func (snap *sessionSnapshot) encode() []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(binarySnapshotTag)
-	putString(&buf, snap.ID)
-	putUvarint(&buf, uint64(snap.Step))
-	putString(&buf, snap.LastQuery)
-	putUvarint(&buf, uint64(len(snap.Seen)))
+	b := []byte{binarySnapshotTag}
+	b = binfmt.AppendString(b, snap.ID)
+	b = binary.AppendUvarint(b, uint64(snap.Step))
+	b = binfmt.AppendString(b, snap.LastQuery)
+	b = binary.AppendUvarint(b, uint64(len(snap.Seen)))
 	for _, id := range snap.Seen {
-		putString(&buf, id)
+		b = binfmt.AppendString(b, id)
 	}
-	putUvarint(&buf, uint64(len(snap.Evidence)))
+	b = binary.AppendUvarint(b, uint64(len(snap.Evidence)))
 	for _, ev := range snap.Evidence {
-		putString(&buf, ev.ShotID)
-		putString(&buf, string(ev.Action))
-		putFloat(&buf, ev.Seconds)
-		putFloat(&buf, ev.ShotSeconds)
-		putVarint(&buf, int64(ev.Rating))
-		putUvarint(&buf, uint64(ev.Step))
+		b = binfmt.AppendString(b, ev.ShotID)
+		b = binfmt.AppendString(b, string(ev.Action))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(ev.Seconds))
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(ev.ShotSeconds))
+		b = binary.AppendVarint(b, int64(ev.Rating))
+		b = binary.AppendUvarint(b, uint64(ev.Step))
 	}
-	putBytes(&buf, snap.Profile)
-	return buf.Bytes()
+	return binfmt.AppendBytes(b, snap.Profile)
 }
 
 // RestoreSession rebuilds a session from EncodeState bytes against
@@ -144,132 +142,34 @@ func (s *System) restoreFromSnapshot(snap *sessionSnapshot) (*Session, error) {
 	return sess, nil
 }
 
+// minEvidenceBytes is the smallest encoded evidence record: two empty
+// strings, two 8-byte floats and two one-byte varints.
+const minEvidenceBytes = 20
+
 // decodeBinarySnapshot parses the binary codec.
 func decodeBinarySnapshot(data []byte, snap *sessionSnapshot) error {
-	r := binReader{b: data, off: 1}
-	snap.ID = r.str()
-	snap.Step = int(r.uvarint())
-	snap.LastQuery = r.str()
-	nSeen := r.uvarint()
-	if r.err == nil && nSeen > uint64(len(data)) {
-		return fmt.Errorf("core: restore: corrupt binary snapshot (seen count %d)", nSeen)
+	r := binfmt.NewReader(data[1:])
+	snap.ID = r.String()
+	snap.Step = int(r.Uvarint())
+	snap.LastQuery = r.String()
+	snap.Seen = make([]string, r.Count(r.Uvarint(), 1))
+	for i := range snap.Seen {
+		snap.Seen[i] = r.String()
 	}
-	snap.Seen = make([]string, 0, nSeen)
-	for i := uint64(0); i < nSeen && r.err == nil; i++ {
-		snap.Seen = append(snap.Seen, r.str())
+	snap.Evidence = make([]feedback.Evidence, r.Count(r.Uvarint(), minEvidenceBytes))
+	for i := range snap.Evidence {
+		snap.Evidence[i] = feedback.Evidence{
+			ShotID:      r.String(),
+			Action:      ilog.Action(r.String()),
+			Seconds:     r.Float64BE(),
+			ShotSeconds: r.Float64BE(),
+			Rating:      int(r.Varint()),
+			Step:        int(r.Uvarint()),
+		}
 	}
-	nEv := r.uvarint()
-	if r.err == nil && nEv > uint64(len(data)) {
-		return fmt.Errorf("core: restore: corrupt binary snapshot (evidence count %d)", nEv)
-	}
-	snap.Evidence = make([]feedback.Evidence, 0, nEv)
-	for i := uint64(0); i < nEv && r.err == nil; i++ {
-		snap.Evidence = append(snap.Evidence, feedback.Evidence{
-			ShotID:      r.str(),
-			Action:      ilog.Action(r.str()),
-			Seconds:     r.float(),
-			ShotSeconds: r.float(),
-			Rating:      int(r.varint()),
-			Step:        int(r.uvarint()),
-		})
-	}
-	snap.Profile = r.bytes()
-	if r.err != nil {
-		return fmt.Errorf("core: restore: %w", r.err)
-	}
-	if r.off != len(data) {
-		return fmt.Errorf("core: restore: %d trailing bytes after binary snapshot", len(data)-r.off)
+	snap.Profile = r.Bytes()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("core: restore: corrupt binary snapshot: %w", err)
 	}
 	return nil
-}
-
-// --- little binary codec helpers (varint framing, BE float bits) ---
-
-func putUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-}
-
-func putVarint(buf *bytes.Buffer, v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutVarint(tmp[:], v)])
-}
-
-func putBytes(buf *bytes.Buffer, b []byte) {
-	putUvarint(buf, uint64(len(b)))
-	buf.Write(b)
-}
-
-func putString(buf *bytes.Buffer, s string) {
-	putUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func putFloat(buf *bytes.Buffer, f float64) {
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], math.Float64bits(f))
-	buf.Write(tmp[:])
-}
-
-// binReader is a cursor over binary snapshot bytes; the first decode
-// error sticks and every later read returns zero values.
-type binReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.err = fmt.Errorf("truncated uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.err = fmt.Errorf("truncated varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.err = fmt.Errorf("truncated field at offset %d (want %d bytes)", r.off, n)
-		return nil
-	}
-	b := r.b[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-func (r *binReader) str() string { return string(r.bytes()) }
-
-func (r *binReader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b)-r.off < 8 {
-		r.err = fmt.Errorf("truncated float at offset %d", r.off)
-		return 0
-	}
-	f := math.Float64frombits(binary.BigEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return f
 }

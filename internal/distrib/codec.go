@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/binfmt"
 )
 
 // Binary codec for the /rpc/v1/search hot path.
@@ -35,10 +37,11 @@ import (
 // the same guarantee shortest-form JSON formatting gives the fallback
 // path, without the format/parse round trip.
 //
-// Decoders are defensive in the same spirit as the index file reader:
-// every length is validated against the bytes actually present, term
-// and hit counts are capped before any allocation sizes off them, and
-// a frame with trailing bytes is rejected, never silently accepted.
+// Decoders read through binfmt.Reader, like every other binary format
+// in the repository: every length is validated against the bytes
+// actually present, term and hit counts are capped and checked against
+// the bytes left before any allocation sizes off them, and a frame with
+// trailing bytes is rejected, never silently accepted.
 const ContentTypeBinary = "application/x-ivr-search"
 
 const (
@@ -60,10 +63,14 @@ const (
 	maxWireTerms = 4096
 	// maxWireString bounds one term, field, scorer name, or doc ID.
 	maxWireString = 1 << 16
-	// minWireHit is the smallest encodable hit (one-byte doc varint,
-	// empty ID, 8-byte score); a declared hit count is only trusted if
-	// that many minimal hits would fit in the remaining payload.
-	minWireHit = 10
+	// Smallest encodings of one list element, which bound a declared
+	// count by the bytes left: a term is an empty string and an 8-byte
+	// weight; a stats entry is four one-byte varints and two 8-byte
+	// floats; a hit is a one-byte doc varint, an empty ID and an 8-byte
+	// score.
+	minWireTerm  = 9
+	minWireStats = 20
+	minWireHit   = 10
 )
 
 // --- encoding ---
@@ -85,19 +92,14 @@ func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 // appendSearchRequest encodes one search request frame into dst.
 func appendSearchRequest(dst []byte, req *SearchRequest) []byte {
 	dst = beginFrame(dst, binMsgSearchReq)
 	dst = binary.AppendVarint(dst, int64(req.Segment))
-	dst = appendStr(dst, req.Field)
+	dst = binfmt.AppendString(dst, req.Field)
 	dst = binary.AppendUvarint(dst, uint64(len(req.Terms)))
 	for i := range req.Terms {
-		dst = appendStr(dst, req.Terms[i].Term)
+		dst = binfmt.AppendString(dst, req.Terms[i].Term)
 		dst = appendF64(dst, req.Terms[i].Weight)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(req.Stats)))
@@ -110,7 +112,7 @@ func appendSearchRequest(dst []byte, req *SearchRequest) []byte {
 		dst = binary.AppendVarint(dst, st.CF)
 		dst = appendF64(dst, st.Weight)
 	}
-	dst = appendStr(dst, req.Scorer.Name)
+	dst = binfmt.AppendString(dst, req.Scorer.Name)
 	dst = appendF64(dst, req.Scorer.K1)
 	dst = appendF64(dst, req.Scorer.B)
 	dst = appendF64(dst, req.Scorer.Mu)
@@ -126,7 +128,7 @@ func appendSearchResponse(dst []byte, segment int, hits []WireHit, candidates in
 	dst = binary.AppendUvarint(dst, uint64(len(hits)))
 	for i := range hits {
 		dst = binary.AppendUvarint(dst, uint64(hits[i].Doc))
-		dst = appendStr(dst, hits[i].ID)
+		dst = binfmt.AppendString(dst, hits[i].ID)
 		dst = appendF64(dst, hits[i].Score)
 	}
 	return endFrame(dst)
@@ -134,65 +136,23 @@ func appendSearchResponse(dst []byte, segment int, hits []WireHit, candidates in
 
 // --- decoding ---
 
-// binReader walks a frame payload; every accessor validates remaining
-// bytes before consuming them.
-type binReader struct {
-	buf []byte
-	off int
+// wireString reads one length-prefixed string capped at maxWireString.
+func wireString(r *binfmt.Reader) string {
+	s := r.String()
+	if len(s) > maxWireString {
+		r.Fail(fmt.Errorf("string length %d exceeds %d", len(s), maxWireString))
+	}
+	return s
 }
 
-func (r *binReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("truncated varint at offset %d", r.off)
+// wireCount reads a list length, capped at limit and at what the bytes
+// left can hold.
+func wireCount(r *binfmt.Reader, what string, limit, minElem int) int {
+	n := r.Uvarint()
+	if n > uint64(limit) {
+		r.Fail(fmt.Errorf("%s count %d exceeds %d", what, n, limit))
 	}
-	r.off += n
-	return v, nil
-}
-
-func (r *binReader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("truncated varint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *binReader) f64() (float64, error) {
-	if r.off+8 > len(r.buf) {
-		return 0, fmt.Errorf("truncated float at offset %d", r.off)
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-	r.off += 8
-	return v, nil
-}
-
-func (r *binReader) str() (string, error) {
-	l, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if l > maxWireString {
-		return "", fmt.Errorf("string length %d exceeds %d", l, maxWireString)
-	}
-	if r.off+int(l) > len(r.buf) {
-		return "", fmt.Errorf("truncated string at offset %d", r.off)
-	}
-	s := string(r.buf[r.off : r.off+int(l)])
-	r.off += int(l)
-	return s, nil
-}
-
-// remaining returns the unconsumed payload byte count.
-func (r *binReader) remaining() int { return len(r.buf) - r.off }
-
-// done rejects trailing garbage after a complete message.
-func (r *binReader) done() error {
-	if r.off != len(r.buf) {
-		return fmt.Errorf("%d trailing bytes", len(r.buf)-r.off)
-	}
-	return nil
+	return r.Count(n, minElem)
 }
 
 // openFrame validates the header and returns the payload. The declared
@@ -225,85 +185,30 @@ func decodeSearchRequest(frame []byte, req *SearchRequest) error {
 	if err != nil {
 		return err
 	}
-	r := binReader{buf: payload}
-	seg, err := r.varint()
-	if err != nil {
-		return err
-	}
-	req.Segment = int(seg)
-	if req.Field, err = r.str(); err != nil {
-		return err
-	}
-	nTerms, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if nTerms > maxWireTerms {
-		return fmt.Errorf("term count %d exceeds %d", nTerms, maxWireTerms)
-	}
+	r := binfmt.NewReader(payload)
+	req.Segment = int(r.Varint())
+	req.Field = wireString(&r)
 	req.Terms = req.Terms[:0]
-	for i := uint64(0); i < nTerms; i++ {
-		var t WireTerm
-		if t.Term, err = r.str(); err != nil {
-			return err
-		}
-		if t.Weight, err = r.f64(); err != nil {
-			return err
-		}
-		req.Terms = append(req.Terms, t)
-	}
-	nStats, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if nStats > maxWireTerms {
-		return fmt.Errorf("stats count %d exceeds %d", nStats, maxWireTerms)
+	for range wireCount(&r, "term", maxWireTerms, minWireTerm) {
+		req.Terms = append(req.Terms, WireTerm{Term: wireString(&r), Weight: r.Float64LE()})
 	}
 	req.Stats = req.Stats[:0]
-	for i := uint64(0); i < nStats; i++ {
-		var st WireTermStats
-		n, err := r.varint()
-		if err != nil {
-			return err
-		}
-		st.N = int(n)
-		if st.AvgDocLen, err = r.f64(); err != nil {
-			return err
-		}
-		if st.TotalLen, err = r.varint(); err != nil {
-			return err
-		}
-		df, err := r.varint()
-		if err != nil {
-			return err
-		}
-		st.DF = int(df)
-		if st.CF, err = r.varint(); err != nil {
-			return err
-		}
-		if st.Weight, err = r.f64(); err != nil {
-			return err
-		}
-		req.Stats = append(req.Stats, st)
+	for range wireCount(&r, "stats", maxWireTerms, minWireStats) {
+		req.Stats = append(req.Stats, WireTermStats{
+			N:         int(r.Varint()),
+			AvgDocLen: r.Float64LE(),
+			TotalLen:  r.Varint(),
+			DF:        int(r.Varint()),
+			CF:        r.Varint(),
+			Weight:    r.Float64LE(),
+		})
 	}
-	if req.Scorer.Name, err = r.str(); err != nil {
-		return err
-	}
-	if req.Scorer.K1, err = r.f64(); err != nil {
-		return err
-	}
-	if req.Scorer.B, err = r.f64(); err != nil {
-		return err
-	}
-	if req.Scorer.Mu, err = r.f64(); err != nil {
-		return err
-	}
-	k, err := r.varint()
-	if err != nil {
-		return err
-	}
-	req.K = int(k)
-	return r.done()
+	req.Scorer.Name = wireString(&r)
+	req.Scorer.K1 = r.Float64LE()
+	req.Scorer.B = r.Float64LE()
+	req.Scorer.Mu = r.Float64LE()
+	req.K = int(r.Varint())
+	return r.Done()
 }
 
 // decodeSearchResponse decodes a response frame into out. out.Segment
@@ -315,44 +220,18 @@ func decodeSearchResponse(frame []byte, out *SearchResponse) error {
 	if err != nil {
 		return err
 	}
-	r := binReader{buf: payload}
-	seg, err := r.varint()
-	if err != nil {
-		return err
-	}
-	*out.Segment = int(seg)
-	cand, err := r.varint()
-	if err != nil {
-		return err
-	}
-	*out.Candidates = int(cand)
-	nHits, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if nHits > uint64(r.remaining()/minWireHit) {
-		return fmt.Errorf("hit count %d exceeds payload capacity", nHits)
-	}
+	r := binfmt.NewReader(payload)
+	*out.Segment = int(r.Varint())
+	*out.Candidates = int(r.Varint())
 	out.Hits = out.Hits[:0]
-	for i := uint64(0); i < nHits; i++ {
-		var h WireHit
-		doc, err := r.uvarint()
-		if err != nil {
-			return err
-		}
+	for range r.Count(r.Uvarint(), minWireHit) {
+		doc := r.Uvarint()
 		if doc > math.MaxUint32 {
-			return fmt.Errorf("doc id %d exceeds uint32", doc)
+			r.Fail(fmt.Errorf("doc id %d exceeds uint32", doc))
 		}
-		h.Doc = uint32(doc)
-		if h.ID, err = r.str(); err != nil {
-			return err
-		}
-		if h.Score, err = r.f64(); err != nil {
-			return err
-		}
-		out.Hits = append(out.Hits, h)
+		out.Hits = append(out.Hits, WireHit{Doc: uint32(doc), ID: wireString(&r), Score: r.Float64LE()})
 	}
-	return r.done()
+	return r.Done()
 }
 
 // --- pooled scratch ---

@@ -12,18 +12,21 @@
 //     global per-term statistics to every segment;
 //   - both sides of the process boundary execute the one exported
 //     scoring kernel, search.ScoreIndexSegment;
-//   - encoding/json round-trips float64 exactly (shortest-form
-//     formatting), so scores cross the wire bit-identically.
+//   - search bodies travel as IVRB binary frames (codec.go) that carry
+//     every score and statistic as its raw IEEE-754 bits, so they cross
+//     the wire bit-identically; the JSON fallback is exact too, because
+//     encoding/json formats float64 in shortest form.
 //
 // Distributed rankings are therefore bit-identical to the in-process
 // engine over the same document stream — the distributed parity test
 // suite pins this.
 //
-// RPC surface (all JSON; errors use the same envelope as /api/v1,
-// {"error":{"code","message"}}):
+// RPC surface (JSON except search bodies; errors use the same
+// envelope as /api/v1, {"error":{"code","message"}}):
 //
 //	GET  /rpc/v1/stats         segment topology + full per-term statistics
 //	POST /rpc/v1/search        score one hosted segment with shipped stats
+//	                           (IVRB frames under ContentTypeBinary, JSON otherwise)
 //	GET  /rpc/v1/healthz       liveness
 //	GET  /rpc/v1/metrics       per-route telemetry snapshot (?format=prometheus for text exposition)
 //	GET  /rpc/v1/debug/traces  ring of recently finished query traces

@@ -2,9 +2,75 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"testing"
 )
+
+// sealIndex wraps payload in the index container with a valid CRC, so
+// hostile payloads reach the decoder instead of the checksum check.
+func sealIndex(payload []byte) []byte {
+	raw := append([]byte(nil), magic[:]...)
+	raw = append(raw, payload...)
+	return binary.BigEndian.AppendUint32(raw, crc32.ChecksumIEEE(payload))
+}
+
+// TestReadRejectsHugeDocCount: a CRC-valid index claiming 2^62
+// documents is a typed ErrBadFormat, not a makeslice panic or an
+// allocation sized from the claim.
+func TestReadRejectsHugeDocCount(t *testing.T) {
+	payload := binary.AppendUvarint(nil, 1<<62)
+	payload = append(payload, "d0"...)
+	var err error
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("Read panicked: %v", p)
+			}
+		}()
+		_, err = Read(bytes.NewReader(sealIndex(payload)))
+	}()
+	if !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("err = %v, want ErrBadFormat", err)
+	}
+}
+
+// FuzzRead feeds payloads, sealed with a valid CRC, to Read. The
+// invariant: an index or an ErrBadFormat, never a panic, and no
+// allocation sized from a count the payload merely claims.
+func FuzzRead(f *testing.F) {
+	var golden bytes.Buffer
+	if _, err := buildSmall(f).WriteTo(&golden); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden.Bytes()[len(magic) : golden.Len()-4])
+	f.Add([]byte{0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		raw := sealIndex(payload)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ix, err := Read(bytes.NewReader(raw))
+		runtime.ReadMemStats(&after)
+		if err != nil && !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		if err == nil {
+			// A decoded index must be safe to query: walk every posting.
+			for f := Field(0); f < numFields; f++ {
+				for _, term := range ix.Terms(f) {
+					for it := ix.Postings(f, term); it.Next(); {
+					}
+				}
+			}
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64*uint64(len(raw))+1<<20 {
+			t.Fatalf("decoding %d bytes allocated %d", len(raw), n)
+		}
+	})
+}
 
 // TestReadCorruptionFuzz flips random bits across serialised indexes
 // and requires Read to fail cleanly — an error, never a panic, and

@@ -13,7 +13,7 @@ import (
 )
 
 // buildSmall indexes four documents with known statistics.
-func buildSmall(t *testing.T) *Index {
+func buildSmall(t testing.TB) *Index {
 	t.Helper()
 	b := NewBuilder()
 	docs := []struct {

@@ -1,13 +1,13 @@
 package index
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/binfmt"
 )
 
 // On-disk format (version 2):
@@ -31,7 +31,7 @@ import (
 //
 // The format is self-contained and position-independent; readers
 // reject wrong magic, truncation, and checksum mismatches.
-var magic = [8]byte{'I', 'V', 'R', 'I', 'D', 'X', 0, 2}
+const magic = "IVRIDX\x00\x02"
 
 // Errors surfaced by the persistence layer.
 var (
@@ -39,103 +39,42 @@ var (
 	ErrChecksum  = errors.New("index: checksum mismatch (file corrupt)")
 )
 
-type payloadWriter struct {
-	buf     bytes.Buffer
-	scratch [binary.MaxVarintLen64]byte
-}
-
-func (p *payloadWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(p.scratch[:], v)
-	p.buf.Write(p.scratch[:n])
-}
-
-func (p *payloadWriter) str(s string) {
-	p.uvarint(uint64(len(s)))
-	p.buf.WriteString(s)
-}
+var indexFile = binfmt.Container{Magic: magic, ErrFormat: ErrBadFormat, ErrChecksum: ErrChecksum}
 
 // WriteTo serialises the index. It implements io.WriterTo.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	var p payloadWriter
-	p.uvarint(uint64(len(ix.extIDs)))
+	n, err := w.Write(ix.encode())
+	if err != nil {
+		return int64(n), fmt.Errorf("index: write: %w", err)
+	}
+	return int64(n), nil
+}
+
+func (ix *Index) encode() []byte {
+	b := indexFile.Begin()
+	b = binary.AppendUvarint(b, uint64(len(ix.extIDs)))
 	for _, ext := range ix.extIDs {
-		p.str(ext)
+		b = binfmt.AppendString(b, ext)
 	}
 	for f := Field(0); f < numFields; f++ {
 		fi := &ix.fields[f]
-		p.uvarint(uint64(len(fi.docLens)))
+		b = binary.AppendUvarint(b, uint64(len(fi.docLens)))
 		for _, l := range fi.docLens {
-			p.uvarint(uint64(l))
+			b = binary.AppendUvarint(b, uint64(l))
 		}
-		p.uvarint(fi.totalLen)
-		p.uvarint(uint64(len(fi.termList)))
+		b = binary.AppendUvarint(b, fi.totalLen)
+		b = binary.AppendUvarint(b, uint64(len(fi.termList)))
 		for _, t := range fi.termList {
 			info := fi.infos[fi.terms[t]]
-			p.str(t)
-			p.uvarint(uint64(info.df))
-			p.uvarint(info.cf)
-			p.uvarint(uint64(info.maxTF))
-			p.uvarint(info.n)
+			b = binfmt.AppendString(b, t)
+			b = binary.AppendUvarint(b, uint64(info.df))
+			b = binary.AppendUvarint(b, info.cf)
+			b = binary.AppendUvarint(b, uint64(info.maxTF))
+			b = binary.AppendUvarint(b, info.n)
 		}
-		p.uvarint(uint64(len(fi.blob)))
-		p.buf.Write(fi.blob)
+		b = binfmt.AppendBytes(b, fi.blob)
 	}
-	payload := p.buf.Bytes()
-	var total int64
-	n, err := w.Write(magic[:])
-	total += int64(n)
-	if err != nil {
-		return total, fmt.Errorf("index: write header: %w", err)
-	}
-	n, err = w.Write(payload)
-	total += int64(n)
-	if err != nil {
-		return total, fmt.Errorf("index: write payload: %w", err)
-	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	n, err = w.Write(crc[:])
-	total += int64(n)
-	if err != nil {
-		return total, fmt.Errorf("index: write checksum: %w", err)
-	}
-	return total, nil
-}
-
-type payloadReader struct {
-	buf []byte
-	off int
-}
-
-func (p *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.buf[p.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint at offset %d", ErrBadFormat, p.off)
-	}
-	p.off += n
-	return v, nil
-}
-
-func (p *payloadReader) str() (string, error) {
-	l, err := p.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if p.off+int(l) > len(p.buf) {
-		return "", fmt.Errorf("%w: truncated string at offset %d", ErrBadFormat, p.off)
-	}
-	s := string(p.buf[p.off : p.off+int(l)])
-	p.off += int(l)
-	return s, nil
-}
-
-func (p *payloadReader) bytes(n uint64) ([]byte, error) {
-	if p.off+int(n) > len(p.buf) {
-		return nil, fmt.Errorf("%w: truncated blob at offset %d", ErrBadFormat, p.off)
-	}
-	b := p.buf[p.off : p.off+int(n)]
-	p.off += int(n)
-	return b, nil
+	return indexFile.Seal(b)
 }
 
 // Read deserialises an index from r, verifying magic and checksum.
@@ -144,124 +83,69 @@ func Read(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: read: %w", err)
 	}
-	if len(raw) < len(magic)+4 {
-		return nil, ErrBadFormat
-	}
-	if !bytes.Equal(raw[:len(magic)], magic[:]) {
-		return nil, ErrBadFormat
-	}
-	payload := raw[len(magic) : len(raw)-4]
-	want := binary.BigEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, ErrChecksum
-	}
-	p := &payloadReader{buf: payload}
-	numDocs, err := p.uvarint()
+	return decode(raw)
+}
+
+func decode(raw []byte) (*Index, error) {
+	payload, err := indexFile.Open(raw)
 	if err != nil {
 		return nil, err
 	}
+	p := binfmt.NewReader(payload)
+	numDocs := p.Count(p.Uvarint(), 1)
 	ix := &Index{
 		extIDs: make([]string, numDocs),
 		ext2id: make(map[string]DocID, numDocs),
 	}
-	for i := uint64(0); i < numDocs; i++ {
-		ext, err := p.str()
-		if err != nil {
-			return nil, err
-		}
+	for i := range ix.extIDs {
+		ext := p.String()
 		if _, dup := ix.ext2id[ext]; dup {
-			return nil, fmt.Errorf("%w: duplicate doc id %q", ErrBadFormat, ext)
+			p.Fail(fmt.Errorf("duplicate doc id %q", ext))
 		}
 		ix.extIDs[i] = ext
 		ix.ext2id[ext] = DocID(i)
 	}
 	for f := Field(0); f < numFields; f++ {
 		fi := &ix.fields[f]
-		nLens, err := p.uvarint()
-		if err != nil {
-			return nil, err
+		if nLens := p.Uvarint(); nLens != uint64(numDocs) {
+			p.Fail(fmt.Errorf("field %v has %d doc lengths for %d docs", f, nLens, numDocs))
 		}
-		if nLens != numDocs {
-			return nil, fmt.Errorf("%w: field %v has %d doc lengths for %d docs", ErrBadFormat, f, nLens, numDocs)
-		}
-		fi.docLens = make([]uint32, nLens)
+		fi.docLens = make([]uint32, p.Count(uint64(numDocs), 1))
 		for i := range fi.docLens {
-			v, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			fi.docLens[i] = uint32(v)
+			fi.docLens[i] = uint32(p.Uvarint())
 		}
-		if fi.totalLen, err = p.uvarint(); err != nil {
-			return nil, err
-		}
-		nTerms, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		fi.totalLen = p.Uvarint()
+		// A term entry is at least five bytes: a string and four uvarints.
+		nTerms := p.Count(p.Uvarint(), 5)
 		fi.termList = make([]string, nTerms)
 		fi.infos = make([]termInfo, nTerms)
 		fi.terms = make(map[string]int32, nTerms)
 		var off uint64
-		for i := uint64(0); i < nTerms; i++ {
-			term, err := p.str()
-			if err != nil {
-				return nil, err
-			}
-			df, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			cf, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			maxTF, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			blen, err := p.uvarint()
-			if err != nil {
-				return nil, err
-			}
+		for i := range nTerms {
+			term := p.String()
+			info := termInfo{df: uint32(p.Uvarint()), cf: p.Uvarint(), maxTF: uint32(p.Uvarint()), off: off}
+			// Each extent must fit in the bytes left, so the running
+			// offset cannot wrap and a term can never slice past the blob.
+			info.n = uint64(p.Count(p.Uvarint(), 1))
 			fi.termList[i] = term
-			fi.infos[i] = termInfo{df: uint32(df), cf: cf, maxTF: uint32(maxTF), off: off, n: blen}
+			fi.infos[i] = info
 			fi.terms[term] = int32(i)
-			off += blen
+			off += info.n
 		}
-		blobLen, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if blobLen != off {
-			return nil, fmt.Errorf("%w: field %v blob length %d != postings extent %d", ErrBadFormat, f, blobLen, off)
-		}
-		if fi.blob, err = p.bytes(blobLen); err != nil {
-			return nil, err
+		if fi.blob = p.Bytes(); uint64(len(fi.blob)) != off {
+			p.Fail(fmt.Errorf("field %v blob length %d != postings extent %d", f, len(fi.blob), off))
 		}
 	}
-	if p.off != len(p.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(p.buf)-p.off)
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadFormat, err)
 	}
 	return ix, nil
 }
 
-// Save writes the index atomically: to a temp file in the same
-// directory, then rename.
+// Save writes the index atomically and durably (see
+// binfmt.WriteFileAtomic).
 func (ix *Index) Save(path string) error {
-	tmp, err := os.CreateTemp(dirOf(path), ".ivridx-*")
-	if err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := ix.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := binfmt.WriteFileAtomic(path, ix.encode()); err != nil {
 		return fmt.Errorf("index: save: %w", err)
 	}
 	return nil
@@ -269,19 +153,9 @@ func (ix *Index) Save(path string) error {
 
 // Load reads an index file written by Save/WriteTo.
 func Load(path string) (*Index, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: load: %w", err)
 	}
-	defer f.Close()
-	return Read(f)
-}
-
-func dirOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "."
+	return decode(raw)
 }

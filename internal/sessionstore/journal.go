@@ -1,7 +1,7 @@
 // JournalStore: the crash-safe, shareable SessionStore. State changes
 // are appended to one journal file as versioned, CRC-checksummed
-// binary records (the internal/store magic/CRC container idiom applied
-// to a log instead of a snapshot):
+// binary records, framed by internal/binfmt (the same package that
+// seals the archive and index containers):
 //
 //	magic    8 bytes  "IVRSJL\x00\x01"
 //	record*  each:    4-byte big-endian body length
@@ -33,7 +33,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -41,6 +40,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"repro/internal/binfmt"
 )
 
 var journalMagic = [8]byte{'I', 'V', 'R', 'S', 'J', 'L', 0, 1}
@@ -54,9 +55,6 @@ const (
 	opPut      byte = 1
 	opDelete   byte = 2
 
-	// recFrame is the framing overhead per record: 4-byte length +
-	// 4-byte CRC around the body.
-	recFrame = 8
 	// maxRecordBytes bounds a single record body; larger lengths are
 	// treated as corruption rather than allocated.
 	maxRecordBytes = 64 << 20
@@ -241,24 +239,8 @@ func (j *JournalStore) scanTail() {
 	}
 	size := info.Size()
 	for j.scanOff < size {
-		var lenBuf [4]byte
-		if j.scanOff+recFrame > size {
-			return
-		}
-		if _, err := j.f.ReadAt(lenBuf[:], j.scanOff); err != nil {
-			return
-		}
-		n := int64(binary.BigEndian.Uint32(lenBuf[:]))
-		if n <= 0 || n > maxRecordBytes || j.scanOff+4+n+4 > size {
-			return
-		}
-		body := make([]byte, n+4)
-		if _, err := j.f.ReadAt(body, j.scanOff+4); err != nil {
-			return
-		}
-		crc := binary.BigEndian.Uint32(body[n:])
-		body = body[:n]
-		if crc32.ChecksumIEEE(body) != crc {
+		body, next, err := binfmt.ReadRecordAt(j.f, j.scanOff, size, maxRecordBytes)
+		if err != nil {
 			return
 		}
 		id, payload, op, err := decodeBody(body)
@@ -271,45 +253,35 @@ func (j *JournalStore) scanTail() {
 		case opDelete:
 			delete(j.sessions, id)
 		}
-		j.scanOff += 4 + n + 4
+		j.scanOff = next
 	}
 }
 
 // decodeBody splits a record body into its parts. The payload aliases
 // body's backing array (callers copy on the way out of the store).
 func decodeBody(body []byte) (id string, payload []byte, op byte, err error) {
-	if len(body) < 2 || body[0] != recVersion {
+	r := binfmt.NewReader(body)
+	version, op := r.Byte(), r.Byte()
+	id = r.String()
+	payload = r.Rest()
+	if r.Done() != nil || version != recVersion || (op != opPut && op != opDelete) {
 		return "", nil, 0, ErrBadFormat
 	}
-	op = body[1]
-	if op != opPut && op != opDelete {
-		return "", nil, 0, ErrBadFormat
-	}
-	idLen, m := binary.Uvarint(body[2:])
-	if m <= 0 || int(idLen) > len(body)-2-m {
-		return "", nil, 0, ErrBadFormat
-	}
-	off := 2 + m
-	id = string(body[off : off+int(idLen)])
-	payload = body[off+int(idLen):]
 	return id, payload, op, nil
 }
 
 // encodeRecord frames one record ready to append.
 func encodeRecord(op byte, id string, payload []byte) []byte {
+	body := make([]byte, 0, 2+binary.MaxVarintLen64+len(id)+len(payload))
+	body = binfmt.AppendString(append(body, recVersion, op), id)
+	body = append(body, payload...)
+	return binfmt.AppendRecord(make([]byte, 0, binfmt.RecordOverhead+len(body)), body)
+}
+
+// recordSize is len(encodeRecord(op, id, payload)) without building it.
+func recordSize(id string, payload []byte) int64 {
 	var idLen [binary.MaxVarintLen64]byte
-	m := binary.PutUvarint(idLen[:], uint64(len(id)))
-	n := 2 + m + len(id) + len(payload)
-	rec := make([]byte, 4+n+4)
-	binary.BigEndian.PutUint32(rec[:4], uint32(n))
-	body := rec[4 : 4+n]
-	body[0] = recVersion
-	body[1] = op
-	copy(body[2:], idLen[:m])
-	copy(body[2+m:], id)
-	copy(body[2+m+len(id):], payload)
-	binary.BigEndian.PutUint32(rec[4+n:], crc32.ChecksumIEEE(body))
-	return rec
+	return int64(binfmt.RecordOverhead + 2 + len(binary.AppendUvarint(idLen[:0], uint64(len(id)))) + len(id) + len(payload))
 }
 
 // maybeCompact rewrites the journal to one record per live session
@@ -322,9 +294,7 @@ func (j *JournalStore) maybeCompact() error {
 	}
 	var live int64
 	for id, payload := range j.sessions {
-		var idLen [binary.MaxVarintLen64]byte
-		m := binary.PutUvarint(idLen[:], uint64(len(id)))
-		live += recFrame + 2 + int64(m) + int64(len(id)) + int64(len(payload))
+		live += recordSize(id, payload)
 	}
 	dead := info.Size() - int64(len(journalMagic)) - live
 	threshold := j.opts.CompactMinWaste

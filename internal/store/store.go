@@ -14,22 +14,21 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"sort"
 	"time"
 
+	"repro/internal/binfmt"
 	"repro/internal/collection"
 	"repro/internal/synth"
 )
 
-var magic = [8]byte{'I', 'V', 'R', 'A', 'R', 'C', 0, 1}
+const magic = "IVRARC\x00\x01"
 
 // Errors surfaced by the container layer.
 var (
@@ -37,106 +36,19 @@ var (
 	ErrChecksum  = errors.New("store: checksum mismatch (file corrupt)")
 )
 
-// writer accumulates the payload.
-type writer struct {
-	buf     bytes.Buffer
-	scratch [binary.MaxVarintLen64]byte
-}
-
-func (w *writer) uvarint(v uint64) {
-	n := binary.PutUvarint(w.scratch[:], v)
-	w.buf.Write(w.scratch[:n])
-}
-
-func (w *writer) varint(v int64) {
-	n := binary.PutVarint(w.scratch[:], v)
-	w.buf.Write(w.scratch[:n])
-}
-
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf.WriteString(s)
-}
-
-func (w *writer) f64(v float64) {
-	w.uvarint(math.Float64bits(v))
-}
-
-// reader decodes the payload.
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint at %d", ErrBadFormat, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint at %d", ErrBadFormat, r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) str() (string, error) {
-	l, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if r.off+int(l) > len(r.buf) {
-		return "", fmt.Errorf("%w: truncated string at %d", ErrBadFormat, r.off)
-	}
-	s := string(r.buf[r.off : r.off+int(l)])
-	r.off += int(l)
-	return s, nil
-}
-
-func (r *reader) f64() (float64, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(v), nil
-}
+var archiveFile = binfmt.Container{Magic: magic, ErrFormat: ErrBadFormat, ErrChecksum: ErrChecksum}
 
 // Write serialises an archive to w.
 func Write(w io.Writer, arch *synth.Archive) (int64, error) {
-	if arch == nil || arch.Collection == nil || arch.Truth == nil {
-		return 0, fmt.Errorf("store: incomplete archive")
-	}
-	var p writer
-	writeConfig(&p, arch.Config)
-	writeCollection(&p, arch.Collection)
-	writeTruth(&p, arch.Truth)
-
-	payload := p.buf.Bytes()
-	var total int64
-	n, err := w.Write(magic[:])
-	total += int64(n)
+	raw, err := encode(arch)
 	if err != nil {
-		return total, fmt.Errorf("store: write header: %w", err)
+		return 0, err
 	}
-	n, err = w.Write(payload)
-	total += int64(n)
+	n, err := w.Write(raw)
 	if err != nil {
-		return total, fmt.Errorf("store: write payload: %w", err)
+		return int64(n), fmt.Errorf("store: write: %w", err)
 	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	n, err = w.Write(crc[:])
-	total += int64(n)
-	if err != nil {
-		return total, fmt.Errorf("store: write checksum: %w", err)
-	}
-	return total, nil
+	return int64(n), nil
 }
 
 // Read deserialises an archive from r, verifying magic and checksum.
@@ -145,57 +57,17 @@ func Read(r io.Reader) (*synth.Archive, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: read: %w", err)
 	}
-	if len(raw) < len(magic)+4 || !bytes.Equal(raw[:len(magic)], magic[:]) {
-		return nil, ErrBadFormat
-	}
-	payload := raw[len(magic) : len(raw)-4]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(raw[len(raw)-4:]) {
-		return nil, ErrChecksum
-	}
-	p := &reader{buf: payload}
-	cfg, err := readConfig(p)
-	if err != nil {
-		return nil, err
-	}
-	coll, err := readCollection(p)
-	if err != nil {
-		return nil, err
-	}
-	truth, err := readTruth(p, coll)
-	if err != nil {
-		return nil, err
-	}
-	if p.off != len(p.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(p.buf)-p.off)
-	}
-	if err := coll.Validate(); err != nil {
-		return nil, fmt.Errorf("store: loaded collection invalid: %w", err)
-	}
-	return &synth.Archive{Collection: coll, Truth: truth, Config: cfg}, nil
+	return decode(raw)
 }
 
-// Save writes the archive atomically (temp file + rename).
+// Save writes the archive atomically and durably (see
+// binfmt.WriteFileAtomic).
 func Save(path string, arch *synth.Archive) error {
-	dir := "."
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			dir = path[:i]
-			break
-		}
-	}
-	tmp, err := os.CreateTemp(dir, ".ivrarc-*")
+	raw, err := encode(arch)
 	if err != nil {
-		return fmt.Errorf("store: save: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := Write(tmp, arch); err != nil {
-		tmp.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: save: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := binfmt.WriteFileAtomic(path, raw); err != nil {
 		return fmt.Errorf("store: save: %w", err)
 	}
 	return nil
@@ -203,309 +75,209 @@ func Save(path string, arch *synth.Archive) error {
 
 // Load reads an archive file written by Save.
 func Load(path string) (*synth.Archive, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("store: load: %w", err)
 	}
-	defer f.Close()
-	return Read(f)
+	return decode(raw)
 }
 
-func writeConfig(p *writer, cfg synth.Config) {
-	p.varint(int64(cfg.Days))
-	p.varint(int64(cfg.StoriesPerVideo))
-	p.varint(int64(cfg.MinShotsPerStory))
-	p.varint(int64(cfg.MaxShotsPerStory))
-	p.varint(int64(cfg.MinWordsPerShot))
-	p.varint(int64(cfg.MaxWordsPerShot))
-	p.varint(int64(cfg.NumTopics))
-	p.varint(int64(cfg.NumSearchTopics))
-	p.varint(int64(cfg.BackgroundVocab))
-	p.varint(int64(cfg.TermsPerTopic))
-	p.varint(int64(cfg.TermsPerCategory))
-	p.f64(cfg.TopicMix)
-	p.f64(cfg.CategoryMix)
-	p.f64(cfg.LeakMix)
-	p.f64(cfg.WER)
-	p.f64(cfg.Detector.TPR)
-	p.f64(cfg.Detector.FPR)
-	p.f64(cfg.MinShotSeconds)
-	p.f64(cfg.MaxShotSeconds)
-	p.varint(int64(cfg.MaxKeyframesPerShot))
-	p.str(cfg.Channel)
-	p.varint(cfg.StartDate.UnixNano())
+func encode(arch *synth.Archive) ([]byte, error) {
+	if arch == nil || arch.Collection == nil || arch.Truth == nil {
+		return nil, fmt.Errorf("store: incomplete archive")
+	}
+	b := archiveFile.Begin()
+	b = writeConfig(b, arch.Config)
+	b = writeCollection(b, arch.Collection)
+	b = writeTruth(b, arch.Truth)
+	return archiveFile.Seal(b), nil
 }
 
-func readConfig(p *reader) (synth.Config, error) {
+func decode(raw []byte) (*synth.Archive, error) {
+	payload, err := archiveFile.Open(raw)
+	if err != nil {
+		return nil, err
+	}
+	p := binfmt.NewReader(payload)
+	cfg := readConfig(&p)
+	coll := readCollection(&p)
+	truth := readTruth(&p, coll)
+	if err := p.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadFormat, err)
+	}
+	if err := coll.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: loaded collection invalid: %w", ErrBadFormat, err)
+	}
+	return &synth.Archive{Collection: coll, Truth: truth, Config: cfg}, nil
+}
+
+// Floats are stored as the uvarint of their IEEE-754 bits.
+func appendF64(b []byte, v float64) []byte { return binary.AppendUvarint(b, math.Float64bits(v)) }
+
+func readF64(p *binfmt.Reader) float64 { return math.Float64frombits(p.Uvarint()) }
+
+func writeConfig(b []byte, cfg synth.Config) []byte {
+	for _, v := range []int{
+		cfg.Days, cfg.StoriesPerVideo, cfg.MinShotsPerStory, cfg.MaxShotsPerStory,
+		cfg.MinWordsPerShot, cfg.MaxWordsPerShot, cfg.NumTopics, cfg.NumSearchTopics,
+		cfg.BackgroundVocab, cfg.TermsPerTopic, cfg.TermsPerCategory,
+	} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	for _, v := range []float64{
+		cfg.TopicMix, cfg.CategoryMix, cfg.LeakMix, cfg.WER,
+		cfg.Detector.TPR, cfg.Detector.FPR, cfg.MinShotSeconds, cfg.MaxShotSeconds,
+	} {
+		b = appendF64(b, v)
+	}
+	b = binary.AppendVarint(b, int64(cfg.MaxKeyframesPerShot))
+	b = binfmt.AppendString(b, cfg.Channel)
+	return binary.AppendVarint(b, cfg.StartDate.UnixNano())
+}
+
+func readConfig(p *binfmt.Reader) synth.Config {
 	var cfg synth.Config
-	ints := []*int{
+	for _, dst := range []*int{
 		&cfg.Days, &cfg.StoriesPerVideo, &cfg.MinShotsPerStory, &cfg.MaxShotsPerStory,
 		&cfg.MinWordsPerShot, &cfg.MaxWordsPerShot, &cfg.NumTopics, &cfg.NumSearchTopics,
 		&cfg.BackgroundVocab, &cfg.TermsPerTopic, &cfg.TermsPerCategory,
+	} {
+		*dst = int(p.Varint())
 	}
-	for _, dst := range ints {
-		v, err := p.varint()
-		if err != nil {
-			return cfg, err
-		}
-		*dst = int(v)
-	}
-	floats := []*float64{
+	for _, dst := range []*float64{
 		&cfg.TopicMix, &cfg.CategoryMix, &cfg.LeakMix, &cfg.WER,
 		&cfg.Detector.TPR, &cfg.Detector.FPR, &cfg.MinShotSeconds, &cfg.MaxShotSeconds,
+	} {
+		*dst = readF64(p)
 	}
-	for _, dst := range floats {
-		v, err := p.f64()
-		if err != nil {
-			return cfg, err
-		}
-		*dst = v
-	}
-	v, err := p.varint()
-	if err != nil {
-		return cfg, err
-	}
-	cfg.MaxKeyframesPerShot = int(v)
-	if cfg.Channel, err = p.str(); err != nil {
-		return cfg, err
-	}
-	ns, err := p.varint()
-	if err != nil {
-		return cfg, err
-	}
-	cfg.StartDate = time.Unix(0, ns).UTC()
-	return cfg, nil
+	cfg.MaxKeyframesPerShot = int(p.Varint())
+	cfg.Channel = p.String()
+	cfg.StartDate = time.Unix(0, p.Varint()).UTC()
+	return cfg
 }
 
-func writeCollection(p *writer, coll *collection.Collection) {
-	p.uvarint(uint64(coll.NumVideos()))
+func writeCollection(b []byte, coll *collection.Collection) []byte {
+	b = binary.AppendUvarint(b, uint64(coll.NumVideos()))
 	coll.Videos(func(v *collection.Video) bool {
-		p.str(string(v.ID))
-		p.str(v.Title)
-		p.str(v.Channel)
-		p.varint(v.Broadcast.UnixNano())
-		p.varint(int64(v.Duration))
+		b = binfmt.AppendString(b, string(v.ID))
+		b = binfmt.AppendString(b, v.Title)
+		b = binfmt.AppendString(b, v.Channel)
+		b = binary.AppendVarint(b, v.Broadcast.UnixNano())
+		b = binary.AppendVarint(b, int64(v.Duration))
 		return true
 	})
-	p.uvarint(uint64(coll.NumStories()))
+	b = binary.AppendUvarint(b, uint64(coll.NumStories()))
 	coll.Stories(func(st *collection.Story) bool {
-		p.str(string(st.ID))
-		p.str(string(st.VideoID))
-		p.varint(int64(st.Index))
-		p.str(st.Title)
-		p.uvarint(uint64(st.Category))
-		p.varint(int64(st.TopicID))
+		b = binfmt.AppendString(b, string(st.ID))
+		b = binfmt.AppendString(b, string(st.VideoID))
+		b = binary.AppendVarint(b, int64(st.Index))
+		b = binfmt.AppendString(b, st.Title)
+		b = binary.AppendUvarint(b, uint64(st.Category))
+		b = binary.AppendVarint(b, int64(st.TopicID))
 		return true
 	})
-	p.uvarint(uint64(coll.NumShots()))
+	b = binary.AppendUvarint(b, uint64(coll.NumShots()))
 	coll.Shots(func(sh *collection.Shot) bool {
-		p.str(string(sh.ID))
-		p.str(string(sh.VideoID))
-		p.str(string(sh.StoryID))
-		p.varint(int64(sh.Index))
-		p.uvarint(uint64(sh.Kind))
-		p.varint(int64(sh.Start))
-		p.varint(int64(sh.Duration))
-		p.str(sh.Transcript)
-		p.uvarint(uint64(len(sh.Keyframes)))
+		b = binfmt.AppendString(b, string(sh.ID))
+		b = binfmt.AppendString(b, string(sh.VideoID))
+		b = binfmt.AppendString(b, string(sh.StoryID))
+		b = binary.AppendVarint(b, int64(sh.Index))
+		b = binary.AppendUvarint(b, uint64(sh.Kind))
+		b = binary.AppendVarint(b, int64(sh.Start))
+		b = binary.AppendVarint(b, int64(sh.Duration))
+		b = binfmt.AppendString(b, sh.Transcript)
+		b = binary.AppendUvarint(b, uint64(len(sh.Keyframes)))
 		for _, kf := range sh.Keyframes {
-			p.varint(int64(kf.Offset))
+			b = binary.AppendVarint(b, int64(kf.Offset))
 		}
-		p.uvarint(uint64(len(sh.Concepts)))
+		b = binary.AppendUvarint(b, uint64(len(sh.Concepts)))
 		for _, cs := range sh.Concepts {
-			p.str(string(cs.Concept))
-			p.f64(cs.Confidence)
+			b = binfmt.AppendString(b, string(cs.Concept))
+			b = appendF64(b, cs.Confidence)
 		}
-		p.uvarint(uint64(len(sh.TrueConcepts)))
+		b = binary.AppendUvarint(b, uint64(len(sh.TrueConcepts)))
 		for _, c := range sh.TrueConcepts {
-			p.str(string(c))
+			b = binfmt.AppendString(b, string(c))
 		}
 		return true
 	})
+	return b
 }
 
-func readCollection(p *reader) (*collection.Collection, error) {
+// readCollection decodes the collection section. The minimum element
+// sizes passed to Count are one byte per field.
+func readCollection(p *binfmt.Reader) *collection.Collection {
 	coll := collection.New()
-	nVideos, err := p.uvarint()
-	if err != nil {
-		return nil, err
+	for range p.Count(p.Uvarint(), 5) {
+		p.Fail(coll.AddVideo(&collection.Video{
+			ID:        collection.VideoID(p.String()),
+			Title:     p.String(),
+			Channel:   p.String(),
+			Broadcast: time.Unix(0, p.Varint()).UTC(),
+			Duration:  time.Duration(p.Varint()),
+		}))
 	}
-	for i := uint64(0); i < nVideos; i++ {
-		v := &collection.Video{}
-		var id string
-		if id, err = p.str(); err != nil {
-			return nil, err
-		}
-		v.ID = collection.VideoID(id)
-		if v.Title, err = p.str(); err != nil {
-			return nil, err
-		}
-		if v.Channel, err = p.str(); err != nil {
-			return nil, err
-		}
-		ns, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		v.Broadcast = time.Unix(0, ns).UTC()
-		dur, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		v.Duration = time.Duration(dur)
-		if err := coll.AddVideo(v); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+	for range p.Count(p.Uvarint(), 6) {
+		p.Fail(coll.AddStory(&collection.Story{
+			ID:       collection.StoryID(p.String()),
+			VideoID:  collection.VideoID(p.String()),
+			Index:    int(p.Varint()),
+			Title:    p.String(),
+			Category: collection.Category(p.Uvarint()),
+			TopicID:  int(p.Varint()),
+		}))
 	}
-	nStories, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nStories; i++ {
-		st := &collection.Story{}
-		var s string
-		if s, err = p.str(); err != nil {
-			return nil, err
+	for range p.Count(p.Uvarint(), 11) {
+		sh := &collection.Shot{
+			ID:         collection.ShotID(p.String()),
+			VideoID:    collection.VideoID(p.String()),
+			StoryID:    collection.StoryID(p.String()),
+			Index:      int(p.Varint()),
+			Kind:       collection.ShotKind(p.Uvarint()),
+			Start:      time.Duration(p.Varint()),
+			Duration:   time.Duration(p.Varint()),
+			Transcript: p.String(),
 		}
-		st.ID = collection.StoryID(s)
-		if s, err = p.str(); err != nil {
-			return nil, err
-		}
-		st.VideoID = collection.VideoID(s)
-		idx, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		st.Index = int(idx)
-		if st.Title, err = p.str(); err != nil {
-			return nil, err
-		}
-		cat, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		st.Category = collection.Category(cat)
-		tid, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		st.TopicID = int(tid)
-		if err := coll.AddStory(st); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-	}
-	nShots, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nShots; i++ {
-		sh := &collection.Shot{}
-		var s string
-		if s, err = p.str(); err != nil {
-			return nil, err
-		}
-		sh.ID = collection.ShotID(s)
-		if s, err = p.str(); err != nil {
-			return nil, err
-		}
-		sh.VideoID = collection.VideoID(s)
-		if s, err = p.str(); err != nil {
-			return nil, err
-		}
-		sh.StoryID = collection.StoryID(s)
-		idx, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		sh.Index = int(idx)
-		kind, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		sh.Kind = collection.ShotKind(kind)
-		start, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		sh.Start = time.Duration(start)
-		dur, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		sh.Duration = time.Duration(dur)
-		if sh.Transcript, err = p.str(); err != nil {
-			return nil, err
-		}
-		nKF, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for k := uint64(0); k < nKF; k++ {
-			off, err := p.varint()
-			if err != nil {
-				return nil, err
-			}
+		for range p.Count(p.Uvarint(), 1) {
 			sh.Keyframes = append(sh.Keyframes, collection.Keyframe{
-				ShotID: sh.ID, Offset: time.Duration(off),
+				ShotID: sh.ID, Offset: time.Duration(p.Varint()),
 			})
 		}
-		nCS, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for k := uint64(0); k < nCS; k++ {
-			cname, err := p.str()
-			if err != nil {
-				return nil, err
-			}
-			conf, err := p.f64()
-			if err != nil {
-				return nil, err
-			}
+		for range p.Count(p.Uvarint(), 2) {
 			sh.Concepts = append(sh.Concepts, collection.ConceptScore{
-				Concept: collection.Concept(cname), Confidence: conf,
+				Concept: collection.Concept(p.String()), Confidence: readF64(p),
 			})
 		}
-		nTC, err := p.uvarint()
-		if err != nil {
-			return nil, err
+		for range p.Count(p.Uvarint(), 1) {
+			sh.TrueConcepts = append(sh.TrueConcepts, collection.Concept(p.String()))
 		}
-		for k := uint64(0); k < nTC; k++ {
-			cname, err := p.str()
-			if err != nil {
-				return nil, err
-			}
-			sh.TrueConcepts = append(sh.TrueConcepts, collection.Concept(cname))
-		}
-		if err := coll.AddShot(sh); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
+		p.Fail(coll.AddShot(sh))
 	}
-	return coll, nil
+	return coll
 }
 
-func writeTruth(p *writer, truth *synth.GroundTruth) {
-	p.uvarint(uint64(len(truth.Topics)))
+func writeTruth(b []byte, truth *synth.GroundTruth) []byte {
+	b = binary.AppendUvarint(b, uint64(len(truth.Topics)))
 	for _, t := range truth.Topics {
-		p.varint(int64(t.ID))
-		p.uvarint(uint64(t.Category))
-		p.uvarint(uint64(len(t.Terms)))
+		b = binary.AppendVarint(b, int64(t.ID))
+		b = binary.AppendUvarint(b, uint64(t.Category))
+		b = binary.AppendUvarint(b, uint64(len(t.Terms)))
 		for _, term := range t.Terms {
-			p.str(term)
+			b = binfmt.AppendString(b, term)
 		}
-		p.uvarint(uint64(len(t.Concepts)))
+		b = binary.AppendUvarint(b, uint64(len(t.Concepts)))
 		for _, c := range t.Concepts {
-			p.str(string(c))
+			b = binfmt.AppendString(b, string(c))
 		}
-		p.f64(t.Popularity)
+		b = appendF64(b, t.Popularity)
 	}
-	p.uvarint(uint64(len(truth.SearchTopics)))
+	b = binary.AppendUvarint(b, uint64(len(truth.SearchTopics)))
 	for _, st := range truth.SearchTopics {
-		p.varint(int64(st.ID))
-		p.varint(int64(st.TopicID))
-		p.str(st.Query)
-		p.str(st.Verbose)
-		p.uvarint(uint64(st.Category))
+		b = binary.AppendVarint(b, int64(st.ID))
+		b = binary.AppendVarint(b, int64(st.TopicID))
+		b = binfmt.AppendString(b, st.Query)
+		b = binfmt.AppendString(b, st.Verbose)
+		b = binary.AppendUvarint(b, uint64(st.Category))
 	}
 	// Qrels in sorted order for deterministic bytes.
 	topicIDs := make([]int, 0, len(truth.Qrels))
@@ -513,19 +285,19 @@ func writeTruth(p *writer, truth *synth.GroundTruth) {
 		topicIDs = append(topicIDs, id)
 	}
 	sort.Ints(topicIDs)
-	p.uvarint(uint64(len(topicIDs)))
+	b = binary.AppendUvarint(b, uint64(len(topicIDs)))
 	for _, tid := range topicIDs {
-		p.varint(int64(tid))
+		b = binary.AppendVarint(b, int64(tid))
 		m := truth.Qrels[tid]
 		ids := make([]string, 0, len(m))
 		for sid := range m {
 			ids = append(ids, string(sid))
 		}
 		sort.Strings(ids)
-		p.uvarint(uint64(len(ids)))
+		b = binary.AppendUvarint(b, uint64(len(ids)))
 		for _, sid := range ids {
-			p.str(sid)
-			p.varint(int64(m[collection.ShotID(sid)]))
+			b = binfmt.AppendString(b, sid)
+			b = binary.AppendVarint(b, int64(m[collection.ShotID(sid)]))
 		}
 	}
 	// Clean transcripts, sorted by shot ID.
@@ -534,137 +306,58 @@ func writeTruth(p *writer, truth *synth.GroundTruth) {
 		ids = append(ids, string(sid))
 	}
 	sort.Strings(ids)
-	p.uvarint(uint64(len(ids)))
+	b = binary.AppendUvarint(b, uint64(len(ids)))
 	for _, sid := range ids {
-		p.str(sid)
-		p.str(truth.CleanTranscript[collection.ShotID(sid)])
+		b = binfmt.AppendString(b, sid)
+		b = binfmt.AppendString(b, truth.CleanTranscript[collection.ShotID(sid)])
 	}
+	return b
 }
 
-func readTruth(p *reader, coll *collection.Collection) (*synth.GroundTruth, error) {
+func readTruth(p *binfmt.Reader, coll *collection.Collection) *synth.GroundTruth {
 	truth := &synth.GroundTruth{
 		Qrels:           make(synth.Qrels),
 		StoryTopic:      make(map[collection.StoryID]int),
 		CleanTranscript: make(map[collection.ShotID]string),
 	}
-	nTopics, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nTopics; i++ {
-		t := &synth.Topic{}
-		id, err := p.varint()
-		if err != nil {
-			return nil, err
+	for range p.Count(p.Uvarint(), 5) {
+		t := &synth.Topic{ID: int(p.Varint()), Category: collection.Category(p.Uvarint())}
+		for range p.Count(p.Uvarint(), 1) {
+			t.Terms = append(t.Terms, p.String())
 		}
-		t.ID = int(id)
-		cat, err := p.uvarint()
-		if err != nil {
-			return nil, err
+		for range p.Count(p.Uvarint(), 1) {
+			t.Concepts = append(t.Concepts, collection.Concept(p.String()))
 		}
-		t.Category = collection.Category(cat)
-		nTerms, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for k := uint64(0); k < nTerms; k++ {
-			term, err := p.str()
-			if err != nil {
-				return nil, err
-			}
-			t.Terms = append(t.Terms, term)
-		}
-		nC, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		for k := uint64(0); k < nC; k++ {
-			c, err := p.str()
-			if err != nil {
-				return nil, err
-			}
-			t.Concepts = append(t.Concepts, collection.Concept(c))
-		}
-		if t.Popularity, err = p.f64(); err != nil {
-			return nil, err
-		}
+		t.Popularity = readF64(p)
 		truth.Topics = append(truth.Topics, t)
 	}
-	nST, err := p.uvarint()
-	if err != nil {
-		return nil, err
+	for range p.Count(p.Uvarint(), 5) {
+		truth.SearchTopics = append(truth.SearchTopics, &synth.SearchTopic{
+			ID:       int(p.Varint()),
+			TopicID:  int(p.Varint()),
+			Query:    p.String(),
+			Verbose:  p.String(),
+			Category: collection.Category(p.Uvarint()),
+		})
 	}
-	for i := uint64(0); i < nST; i++ {
-		st := &synth.SearchTopic{}
-		id, err := p.varint()
-		if err != nil {
-			return nil, err
+	for range p.Count(p.Uvarint(), 2) {
+		tid := int(p.Varint())
+		n := p.Count(p.Uvarint(), 2)
+		m := make(map[collection.ShotID]int, n)
+		for range n {
+			sid := collection.ShotID(p.String())
+			m[sid] = int(p.Varint())
 		}
-		st.ID = int(id)
-		tid, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		st.TopicID = int(tid)
-		if st.Query, err = p.str(); err != nil {
-			return nil, err
-		}
-		if st.Verbose, err = p.str(); err != nil {
-			return nil, err
-		}
-		cat, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		st.Category = collection.Category(cat)
-		truth.SearchTopics = append(truth.SearchTopics, st)
+		truth.Qrels[tid] = m
 	}
-	nQ, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nQ; i++ {
-		tid, err := p.varint()
-		if err != nil {
-			return nil, err
-		}
-		nIDs, err := p.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		m := make(map[collection.ShotID]int, nIDs)
-		for k := uint64(0); k < nIDs; k++ {
-			sid, err := p.str()
-			if err != nil {
-				return nil, err
-			}
-			grade, err := p.varint()
-			if err != nil {
-				return nil, err
-			}
-			m[collection.ShotID(sid)] = int(grade)
-		}
-		truth.Qrels[int(tid)] = m
-	}
-	nCT, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nCT; i++ {
-		sid, err := p.str()
-		if err != nil {
-			return nil, err
-		}
-		txt, err := p.str()
-		if err != nil {
-			return nil, err
-		}
-		truth.CleanTranscript[collection.ShotID(sid)] = txt
+	for range p.Count(p.Uvarint(), 2) {
+		sid := collection.ShotID(p.String())
+		truth.CleanTranscript[sid] = p.String()
 	}
 	// StoryTopic is derivable from the stories.
 	coll.Stories(func(st *collection.Story) bool {
 		truth.StoryTopic[st.ID] = st.TopicID
 		return true
 	})
-	return truth, nil
+	return truth
 }
