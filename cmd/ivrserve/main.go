@@ -77,7 +77,6 @@ func main() {
 		segTimeout  = flag.Duration("segment-timeout", distrib.DefaultRPCTimeout, "per-segment RPC deadline in distributed mode")
 		hedgeAfter  = flag.Duration("hedge-after", 0, "hedge a segment RPC to a twin replica after this latency budget (0 disables)")
 		probeEvery  = flag.Duration("probe-interval", 2*time.Second, "health-probe replicas this often in replicated mode (0 disables)")
-		rpcCodec    = flag.String("rpc-codec", "binary", "segment search body codec: binary (negotiated, falls back per backend) or json (forced)")
 		sessStore   = flag.String("session-store", "", "journal file for durable sessions (empty = in-memory only); share one path between replicas behind ivrroute")
 		sessSync    = flag.Duration("session-sync", 100*time.Millisecond, "journal fsync batching interval (0 = fsync every write)")
 		replicaID   = flag.String("replica-id", "", "replica name stamped on responses (X-IVR-Replica) and reported to the front tier")
@@ -155,13 +154,6 @@ func main() {
 		}
 		if *degraded {
 			opts = append(opts, distrib.WithDegraded())
-		}
-		switch *rpcCodec {
-		case "binary":
-		case "json":
-			opts = append(opts, distrib.WithJSONCodec())
-		default:
-			log.Fatalf("unknown -rpc-codec %q (binary or json)", *rpcCodec)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		cluster, err = distrib.ConnectTopology(ctx, desc, opts...)

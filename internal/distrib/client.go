@@ -23,8 +23,8 @@ import (
 // Fault sentinels, matchable through errors.Is on any *BackendError.
 var (
 	// ErrBadResponse marks a backend reply the merge tier refused to
-	// trust: wrong content type, undecodable body, missing required
-	// keys, or a segment echo that does not match the request. Garbage
+	// trust: wrong content type, undecodable body, a segment echo that
+	// does not match the request, or fewer candidates than hits. Garbage
 	// from a backend must become this error — never a silently wrong
 	// ranking.
 	ErrBadResponse = errors.New("distrib: malformed backend response")
@@ -34,9 +34,9 @@ var (
 )
 
 // statusError carries the HTTP status of a non-200 RPC reply alongside
-// the ErrBackendStatus chain, so codec negotiation can tell "the
-// backend refused this request encoding" (400/415) apart from routing
-// and server faults without parsing error text.
+// the ErrBackendStatus chain, so retry and deadline mapping can tell a
+// shed, a spent budget and a server fault apart without parsing error
+// text.
 type statusError struct {
 	status int
 	code   string // envelope code when one parsed ("" otherwise)
@@ -83,22 +83,14 @@ type backend struct {
 	addr    string
 	hc      *http.Client
 	statsHC *http.Client
-	// useBinary is the negotiated search-body codec: it starts from the
-	// cluster option (binary by default) and latches to false the first
-	// time this backend rejects a binary body — a JSON-only backend
-	// costs one failed probe ever, not one per query.
-	useBinary atomic.Bool
 	// healthy is the routing signal: health probes and search outcomes
 	// both feed it. An unhealthy replica is deprioritized — tried only
 	// after every healthy twin — never excluded, so a topology whose
 	// replicas are all marked down still gets served if any of them
 	// actually answers.
-	healthy        atomic.Bool
-	requests       atomic.Int64
-	errors         atomic.Int64
-	binSearches    atomic.Int64
-	jsonSearches   atomic.Int64
-	codecFallbacks atomic.Int64
+	healthy  atomic.Bool
+	requests atomic.Int64
+	errors   atomic.Int64
 	// hedges counts search RPCs sent to this backend as latency hedges
 	// (the twin of a slow primary); failovers counts RPCs re-routed to
 	// this backend after a sibling replica failed; probeFails counts
@@ -112,9 +104,8 @@ type backend struct {
 	brk *breaker
 }
 
-func newBackend(addr string, hc, statsHC *http.Client, binary bool) *backend {
+func newBackend(addr string, hc, statsHC *http.Client) *backend {
 	b := &backend{addr: strings.TrimRight(addr, "/"), hc: hc, statsHC: statsHC}
-	b.useBinary.Store(binary)
 	b.healthy.Store(true)
 	return b
 }
@@ -217,25 +208,15 @@ func (b *backend) stats(ctx context.Context) (*StatsResponse, error) {
 	return &out, nil
 }
 
-// search scores one segment remotely, speaking the negotiated codec.
-// The response is trusted only after validation: required keys
-// present, segment echo matching, and candidate count consistent with
-// the hit list. Callers own resp.Hits and should hand the slice to
+// search scores one segment remotely over IVRB frames. The response is
+// trusted only after validation: IVRB content type, a frame that
+// decodes, a matching segment echo, and a candidate count consistent
+// with the hit list. Callers own resp.Hits and should hand the slice to
 // recycleWireHits once converted.
 func (b *backend) search(ctx context.Context, sreq SearchRequest) (*SearchResponse, error) {
 	b.requests.Add(1)
 	start := time.Now()
-	out, err := b.searchOnce(ctx, &sreq, b.useBinary.Load())
-	if err != nil && b.useBinary.Load() && demotesBinary(err) {
-		// The backend rejected the binary body outright: it predates the
-		// codec (400, the frame is not JSON) or refuses the media type
-		// (415). Latch this backend to JSON and retry the query once on
-		// the fallback — negotiation must cost a query a round trip, not
-		// an error.
-		b.useBinary.Store(false)
-		b.codecFallbacks.Add(1)
-		out, err = b.searchOnce(ctx, &sreq, false)
-	}
+	out, err := b.searchOnce(ctx, &sreq)
 	if err != nil {
 		return nil, b.fail(sreq.Segment, err)
 	}
@@ -243,23 +224,10 @@ func (b *backend) search(ctx context.Context, sreq SearchRequest) (*SearchRespon
 	return out, nil
 }
 
-// demotesBinary reports whether a search fault plausibly means "the
-// backend did not understand the binary request body". Anything other
-// than a 400/415 envelope — timeouts, routing 404s, 5xx — is a real
-// fault that must surface instead of triggering a codec retry.
-func demotesBinary(err error) bool {
-	var se *statusError
-	if !errors.As(err, &se) {
-		return false
-	}
-	return se.status == http.StatusBadRequest || se.status == http.StatusUnsupportedMediaType
-}
-
-// searchOnce performs one search RPC in the given codec. Request body
-// buffers, their bytes.Reader wrapper, and the response read buffer
-// all come from pools, so a steady-state scatter round allocates
-// nothing for framing.
-func (b *backend) searchOnce(ctx context.Context, sreq *SearchRequest, binary bool) (*SearchResponse, error) {
+// searchOnce performs one search RPC. Request body buffers, their
+// bytes.Reader wrapper, and the response read buffer all come from
+// pools, so a steady-state scatter round allocates nothing for framing.
+func (b *backend) searchOnce(ctx context.Context, sreq *SearchRequest) (*SearchResponse, error) {
 	// Deadline propagation: re-mint the remaining budget as a relative
 	// header on the outgoing RPC. A budget too small to round-trip is
 	// answered here — typed — instead of shipping a request the far
@@ -269,20 +237,7 @@ func (b *backend) searchOnce(ctx context.Context, sreq *SearchRequest, binary bo
 		return nil, overload.ErrDeadlineExceeded
 	}
 	bodyBuf := getBuf()
-	contentType := "application/json"
-	if binary {
-		b.binSearches.Add(1)
-		contentType = ContentTypeBinary
-		*bodyBuf = appendSearchRequest((*bodyBuf)[:0], sreq)
-	} else {
-		b.jsonSearches.Add(1)
-		w := bytes.NewBuffer((*bodyBuf)[:0])
-		if err := json.NewEncoder(w).Encode(sreq); err != nil {
-			putBuf(bodyBuf)
-			return nil, err
-		}
-		*bodyBuf = w.Bytes()
-	}
+	*bodyBuf = AppendSearchRequest((*bodyBuf)[:0], sreq)
 	rd := readerPool.Get().(*bytes.Reader)
 	rd.Reset(*bodyBuf)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.addr+SearchPath, rd)
@@ -290,7 +245,7 @@ func (b *backend) searchOnce(ctx context.Context, sreq *SearchRequest, binary bo
 		putBuf(bodyBuf)
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", ContentTypeBinary)
 	if haveDeadline {
 		req.Header.Set(overload.DeadlineHeader, overload.FormatDeadline(deadline))
 	}
@@ -325,35 +280,21 @@ func (b *backend) searchOnce(ctx context.Context, sreq *SearchRequest, binary bo
 	if err != nil {
 		return nil, err
 	}
-	out := &SearchResponse{}
-	mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	switch mt {
-	case ContentTypeBinary:
-		var seg, cand int
-		out.Segment, out.Candidates = &seg, &cand
-		out.Hits = getWireHits()
-		if derr := decodeSearchResponse(body, out); derr != nil {
-			recycleWireHits(out.Hits)
-			return nil, fmt.Errorf("%w: %v", ErrBadResponse, derr)
-		}
-	case "application/json":
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if derr := dec.Decode(out); derr != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadResponse, derr)
-		}
-	default:
+	if mt, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); mt != ContentTypeBinary {
 		return nil, fmt.Errorf("%w: content type %q", ErrBadResponse, resp.Header.Get("Content-Type"))
 	}
+	out := &SearchResponse{Hits: getWireHits()}
+	err = decodeSearchResponse(body, out)
 	switch {
-	case out.Segment == nil || out.Candidates == nil:
-		return nil, fmt.Errorf("%w: missing segment/candidates keys", ErrBadResponse)
-	case *out.Segment != sreq.Segment:
-		return nil, fmt.Errorf("%w: scored segment %d, asked for %d",
-			ErrBadResponse, *out.Segment, sreq.Segment)
-	case *out.Candidates < len(out.Hits):
-		return nil, fmt.Errorf("%w: %d candidates < %d hits",
-			ErrBadResponse, *out.Candidates, len(out.Hits))
+	case err != nil:
+		err = fmt.Errorf("%w: %v", ErrBadResponse, err)
+	case out.Segment != sreq.Segment:
+		err = fmt.Errorf("%w: scored segment %d, asked for %d", ErrBadResponse, out.Segment, sreq.Segment)
+	case out.Candidates < len(out.Hits):
+		err = fmt.Errorf("%w: %d candidates < %d hits", ErrBadResponse, out.Candidates, len(out.Hits))
+	default:
+		return out, nil
 	}
-	return out, nil
+	recycleWireHits(out.Hits)
+	return nil, err
 }

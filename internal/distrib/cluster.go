@@ -41,7 +41,6 @@ type Option func(*clusterConfig)
 type clusterConfig struct {
 	timeout         time.Duration
 	hc              *http.Client
-	forceJSON       bool
 	hedgeAfter      time.Duration
 	probeInterval   time.Duration
 	clock           overload.Clock
@@ -68,13 +67,6 @@ const (
 // WithTimeout bounds each segment RPC (default DefaultRPCTimeout).
 func WithTimeout(d time.Duration) Option {
 	return func(c *clusterConfig) { c.timeout = d }
-}
-
-// WithJSONCodec forces every search RPC onto the JSON body codec
-// instead of negotiating the binary framing — the escape hatch for
-// codec-vs-codec benchmarking and debugging with readable captures.
-func WithJSONCodec() Option {
-	return func(c *clusterConfig) { c.forceJSON = true }
 }
 
 // WithHTTPClient substitutes the transport (tests inject
@@ -343,9 +335,9 @@ type assembled struct {
 
 // assemble fetches stats from every replica of the descriptor and
 // validates the full topology. reuse (nil-able) maps addresses to
-// existing backends so a reload keeps telemetry, negotiated codec and
-// health state for replicas that stay. Nothing is mutated on the
-// cluster: the caller decides whether to adopt the returned state.
+// existing backends so a reload keeps telemetry and health state for
+// replicas that stay. Nothing is mutated on the cluster: the caller
+// decides whether to adopt the returned state.
 func (c *Cluster) assemble(ctx context.Context, desc *TopologyDesc, reuse map[string]*backend) (*assembled, error) {
 	statsCtx := ctx
 	if _, ok := ctx.Deadline(); !ok {
@@ -361,7 +353,7 @@ func (c *Cluster) assemble(ctx context.Context, desc *TopologyDesc, reuse map[st
 		for ri, addr := range g.Replicas {
 			b := reuse[addr]
 			if b == nil {
-				b = newBackend(addr, c.searchHC, c.statsHC, !c.cfg.forceJSON)
+				b = newBackend(addr, c.searchHC, c.statsHC)
 				b.brk = newBreaker(c.clock, c.cfg.breakerFails, c.cfg.breakerCooldown)
 			}
 			groupOf[gi][ri] = b
@@ -501,9 +493,8 @@ func equalInts(a, b []int) bool {
 // whose collection or source hash differs from the running cluster's
 // (ErrTopologyMismatch) rejects the whole reload and leaves the
 // current topology serving. Replicas present in both topologies keep
-// their telemetry, health state and negotiated codec; replicas that
-// leave finish their in-flight RPCs and are no longer routed to or
-// probed.
+// their telemetry and health state; replicas that leave finish their
+// in-flight RPCs and are no longer routed to or probed.
 func (c *Cluster) Reload(ctx context.Context, desc *TopologyDesc) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -680,19 +671,16 @@ func (c *Cluster) BackendSummaries() []retrieval.BackendSummary {
 	out := make([]retrieval.BackendSummary, len(st.backends))
 	for i, b := range st.backends {
 		s := retrieval.BackendSummary{
-			Addr:           b.addr,
-			Healthy:        b.healthy.Load(),
-			Requests:       b.requests.Load(),
-			Errors:         b.errors.Load(),
-			BinarySearches: b.binSearches.Load(),
-			JSONSearches:   b.jsonSearches.Load(),
-			CodecFallbacks: b.codecFallbacks.Load(),
-			Hedges:         b.hedges.Load(),
-			Failovers:      b.failovers.Load(),
-			ProbeFailures:  b.probeFails.Load(),
-			Breaker:        b.brk.state(),
-			BreakerTrips:   b.brk.tripCount(),
-			Latency:        b.latency.Summary(),
+			Addr:          b.addr,
+			Healthy:       b.healthy.Load(),
+			Requests:      b.requests.Load(),
+			Errors:        b.errors.Load(),
+			Hedges:        b.hedges.Load(),
+			Failovers:     b.failovers.Load(),
+			ProbeFailures: b.probeFails.Load(),
+			Breaker:       b.brk.state(),
+			BreakerTrips:  b.brk.tripCount(),
+			Latency:       b.latency.Summary(),
 		}
 		for ord, group := range st.groups {
 			for _, rb := range group {
@@ -924,7 +912,7 @@ func (r *remoteSegment) SearchSegment(ctx context.Context, p *search.PreparedQue
 			hits[i] = search.Hit{Doc: index.DocID(h.Doc), ID: h.ID, Score: h.Score}
 		}
 		recycleWireHits(resp.Hits)
-		return search.SegmentResult{Hits: hits, Candidates: *resp.Candidates}, nil
+		return search.SegmentResult{Hits: hits, Candidates: resp.Candidates}, nil
 	}
 	if k <= 0 {
 		// Honour the interface's unbounded mode: keep every candidate

@@ -10,17 +10,14 @@ import (
 	"repro/internal/binfmt"
 )
 
-// Binary codec for the /rpc/v1/search hot path.
+// IVRB, the binary codec of /rpc/v1/search bodies.
 //
-// JSON framing is the right default for the RPC surface — debuggable
-// with curl, schema-evolvable, and float64-exact — but on the scatter
-// path every query pays it per segment: the merge tier encodes one
-// request and decodes one response per backend hop, and the segment
-// server does the mirror image. The binary codec replaces exactly
-// those two bodies with a length-prefixed frame that costs a fraction
-// of the bytes and none of the reflection, negotiated per request via
-// Content-Type with JSON kept as the universal fallback (stats,
-// health, metrics, traces and every error envelope stay JSON).
+// On the scatter path every query pays the body codec per segment: the
+// merge tier encodes one request and decodes one response per backend
+// hop, and the segment server does the mirror image. Those two bodies
+// are length-prefixed frames that cost a fraction of JSON's bytes and
+// none of its reflection, sent under ContentTypeBinary. Stats, health,
+// metrics, traces and every error envelope stay JSON.
 //
 // Frame layout:
 //
@@ -33,9 +30,7 @@ import (
 // Payload fields are varint-coded integers (signed zig-zag where the
 // value can be negative, e.g. K = -1), length-prefixed strings, and
 // fixed 8-byte little-endian IEEE-754 floats. Floats cross the wire
-// as raw math.Float64bits, so scores and statistics stay bit-exact —
-// the same guarantee shortest-form JSON formatting gives the fallback
-// path, without the format/parse round trip.
+// as raw math.Float64bits, so scores and statistics stay bit-exact.
 //
 // Decoders read through binfmt.Reader, like every other binary format
 // in the repository: every length is validated against the bytes
@@ -92,8 +87,8 @@ func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-// appendSearchRequest encodes one search request frame into dst.
-func appendSearchRequest(dst []byte, req *SearchRequest) []byte {
+// AppendSearchRequest encodes one search request frame into dst.
+func AppendSearchRequest(dst []byte, req *SearchRequest) []byte {
 	dst = beginFrame(dst, binMsgSearchReq)
 	dst = binary.AppendVarint(dst, int64(req.Segment))
 	dst = binfmt.AppendString(dst, req.Field)
@@ -211,18 +206,16 @@ func decodeSearchRequest(frame []byte, req *SearchRequest) error {
 	return r.Done()
 }
 
-// decodeSearchResponse decodes a response frame into out. out.Segment
-// and out.Candidates must point at storage (the binary codec has no
-// optional keys — presence is structural); out.Hits' capacity is
-// reused, so callers can feed a pooled slice.
+// decodeSearchResponse decodes a response frame into out, reusing
+// out.Hits' capacity, so callers can feed a pooled slice.
 func decodeSearchResponse(frame []byte, out *SearchResponse) error {
 	payload, err := openFrame(frame, binMsgSearchResp)
 	if err != nil {
 		return err
 	}
 	r := binfmt.NewReader(payload)
-	*out.Segment = int(r.Varint())
-	*out.Candidates = int(r.Varint())
+	out.Segment = int(r.Varint())
+	out.Candidates = int(r.Varint())
 	out.Hits = out.Hits[:0]
 	for range r.Count(r.Uvarint(), minWireHit) {
 		doc := r.Uvarint()
@@ -276,10 +269,9 @@ func getWireHits() []WireHit {
 	return (*wireHitPool.Get().(*[]WireHit))[:0]
 }
 
-// recycleWireHits returns a decoded hit slice to the pool. Safe on
-// JSON-decoded (non-pooled) slices too — any capacity re-enters the
-// pool. Slices grown by an unbounded (k <= 0) candidate dump are
-// dropped instead of pinning their worst case forever.
+// recycleWireHits returns a decoded hit slice to the pool. Slices grown
+// by an unbounded (k <= 0) candidate dump are dropped instead of
+// pinning their worst case forever.
 func recycleWireHits(hits []WireHit) {
 	if cap(hits) == 0 || cap(hits) > 1<<15 {
 		return

@@ -47,7 +47,6 @@ func FuzzDecodeSearchRequest(f *testing.F) {
 
 func FuzzDecodeSearchResponse(f *testing.F) {
 	fuzzFrames(f, goldenResponseFrame, func(frame []byte) error {
-		var seg, cand int
-		return decodeSearchResponse(frame, &SearchResponse{Segment: &seg, Candidates: &cand})
+		return decodeSearchResponse(frame, &SearchResponse{})
 	})
 }

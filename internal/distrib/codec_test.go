@@ -2,18 +2,14 @@ package distrib
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/search"
 	"repro/internal/tier"
 )
 
@@ -43,7 +39,7 @@ func codecRequest() SearchRequest {
 // encode/decode, including reuse of a pooled destination struct.
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	want := codecRequest()
-	frame := appendSearchRequest(nil, &want)
+	frame := AppendSearchRequest(nil, &want)
 	// Decode into a dirty struct: stale fields must not leak through.
 	got := SearchRequest{
 		Segment: 99, Field: "concept", K: 7,
@@ -63,13 +59,12 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		{Doc: 17, ID: "shot", Score: 0},
 	}
 	rframe := appendSearchResponse(nil, 5, hits, 123)
-	var seg, cand int
-	out := SearchResponse{Segment: &seg, Candidates: &cand}
+	var out SearchResponse
 	if err := decodeSearchResponse(rframe, &out); err != nil {
 		t.Fatal(err)
 	}
-	if seg != 5 || cand != 123 || !reflect.DeepEqual(out.Hits, hits) {
-		t.Fatalf("response round trip: segment=%d candidates=%d hits=%+v", seg, cand, out.Hits)
+	if out.Segment != 5 || out.Candidates != 123 || !reflect.DeepEqual(out.Hits, hits) {
+		t.Fatalf("response round trip: %+v", out)
 	}
 	for i := range hits {
 		if math.Float64bits(out.Hits[i].Score) != math.Float64bits(hits[i].Score) {
@@ -79,19 +74,19 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 
 	// Empty hit lists are a normal result, not an error.
 	empty := appendSearchResponse(nil, 0, nil, 0)
-	out = SearchResponse{Segment: &seg, Candidates: &cand, Hits: []WireHit{{ID: "stale"}}}
+	out = SearchResponse{Segment: 9, Candidates: 9, Hits: []WireHit{{ID: "stale"}}}
 	if err := decodeSearchResponse(empty, &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Hits) != 0 {
-		t.Fatalf("empty response decoded %d hits", len(out.Hits))
+	if out.Segment != 0 || out.Candidates != 0 || len(out.Hits) != 0 {
+		t.Fatalf("empty response decoded as %+v", out)
 	}
 }
 
 // TestBinaryCodecMalformed drives the decoder's structural checks:
 // every case must error, never panic, never silently accept.
 func TestBinaryCodecMalformed(t *testing.T) {
-	good := appendSearchRequest(nil, &SearchRequest{
+	good := AppendSearchRequest(nil, &SearchRequest{
 		Field: "text", Terms: []WireTerm{{Term: "goal", Weight: 1}},
 		Stats: []WireTermStats{{N: 1, DF: 1, CF: 1, Weight: 1}}, Scorer: ScorerSpec{Name: "bm25"}, K: 10,
 	})
@@ -146,8 +141,7 @@ func TestBinaryCodecMalformed(t *testing.T) {
 			if tc.req {
 				err = decodeSearchRequest(tc.buf, &SearchRequest{})
 			} else {
-				var seg, cand int
-				err = decodeSearchResponse(tc.buf, &SearchResponse{Segment: &seg, Candidates: &cand})
+				err = decodeSearchResponse(tc.buf, &SearchResponse{})
 			}
 			if err == nil {
 				t.Fatal("malformed frame decoded without error")
@@ -164,7 +158,7 @@ func TestBinaryCodecMalformed(t *testing.T) {
 func TestBinaryCodecCorruptionFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(2026))
 	req := codecRequest()
-	reqFrame := appendSearchRequest(nil, &req)
+	reqFrame := AppendSearchRequest(nil, &req)
 	respFrame := appendSearchResponse(nil, 2, []WireHit{
 		{Doc: 9, ID: "s0009", Score: 3.25}, {Doc: 14, ID: "s0014", Score: 1.5},
 	}, 7)
@@ -187,69 +181,14 @@ func TestBinaryCodecCorruptionFuzz(t *testing.T) {
 					}
 				}()
 				_ = decodeSearchRequest(b, &SearchRequest{})
-				var seg, cand int
-				_ = decodeSearchResponse(b, &SearchResponse{Segment: &seg, Candidates: &cand})
+				_ = decodeSearchResponse(b, &SearchResponse{})
 			}()
 		}
 	}
 }
 
-// TestRPCSearchBinaryEndpoint is the server half of the negotiation
-// contract: a binary request gets a binary response whose decoded
-// hits are bit-identical to the JSON rendering of the same query, and
-// the codec counters attribute each body to its framing.
-func TestRPCSearchBinaryEndpoint(t *testing.T) {
-	ts, srv, _ := newRPCServer(t, 3)
-	req := validSearchRequest()
-
-	jbody, _ := json.Marshal(req)
-	jresp := postSearch(t, ts.URL, jbody)
-	var want SearchResponse
-	if err := json.NewDecoder(jresp.Body).Decode(&want); err != nil {
-		t.Fatal(err)
-	}
-	jresp.Body.Close()
-
-	frame := appendSearchRequest(nil, &req)
-	resp, err := http.Post(ts.URL+SearchPath, ContentTypeBinary, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeBinary {
-		t.Fatalf("binary request answered with content type %q", ct)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if cl := resp.ContentLength; cl != int64(buf.Len()) {
-		t.Fatalf("Content-Length %d, body %d bytes", cl, buf.Len())
-	}
-	var seg, cand int
-	got := SearchResponse{Segment: &seg, Candidates: &cand}
-	if err := decodeSearchResponse(buf.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
-	if seg != *want.Segment || cand != *want.Candidates || !reflect.DeepEqual(got.Hits, want.Hits) {
-		t.Fatalf("binary response diverged from JSON:\n got seg=%d cand=%d %+v\nwant seg=%d cand=%d %+v",
-			seg, cand, got.Hits, *want.Segment, *want.Candidates, want.Hits)
-	}
-	if len(frame) >= len(jbody) {
-		t.Errorf("binary request (%d bytes) not smaller than JSON (%d bytes)", len(frame), len(jbody))
-	}
-	snapJSON, snapBin := srv.codec.json.Load(), srv.codec.binary.Load()
-	if snapJSON != 1 || snapBin != 1 {
-		t.Fatalf("codec counters json=%d binary=%d, want 1/1", snapJSON, snapBin)
-	}
-}
-
-// TestRPCSearchBinaryErrors mirrors the JSON guards on the binary
-// path: oversized bodies 413 before decode, malformed frames 400, and
-// both answer with the JSON error envelope.
+// TestRPCSearchBinaryErrors: oversized bodies 413 before decode,
+// malformed frames 400, and both answer with the JSON error envelope.
 func TestRPCSearchBinaryErrors(t *testing.T) {
 	ts, _, _ := newRPCServer(t, 2)
 	post := func(body []byte) *http.Response {
@@ -264,108 +203,17 @@ func TestRPCSearchBinaryErrors(t *testing.T) {
 	wantRPCEnvelope(t, post(big), http.StatusRequestEntityTooLarge, tier.CodeTooLarge)
 	wantRPCEnvelope(t, post([]byte("not a frame")), http.StatusBadRequest, tier.CodeInvalid)
 	req := validSearchRequest()
-	frame := appendSearchRequest(nil, &req)
+	frame := AppendSearchRequest(nil, &req)
 	wantRPCEnvelope(t, post(frame[:len(frame)-2]), http.StatusBadRequest, tier.CodeInvalid)
 }
 
-// TestCodecNegotiationFallback pins the mixed-version story: against a
-// backend that rejects the binary media type, the client demotes that
-// backend to JSON, retries the same query transparently, and never
-// sends binary again — one fallback, zero failed queries.
-func TestCodecNegotiationFallback(t *testing.T) {
-	_, sh := buildCorpus(t, 3, 60, 2)
-	srv, err := NewSegmentServer(ServerConfig{Sharded: sh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A "legacy" front that refuses the binary codec the way a
-	// pre-codec server would reject a frame: 400 on a body that is not
-	// JSON (415 is exercised as the other demotion trigger).
-	rejects := 0
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == SearchPath && r.Header.Get("Content-Type") != "application/json" {
-			rejects++
-			status, code := http.StatusBadRequest, tier.CodeInvalid
-			if rejects%2 == 0 {
-				status, code = http.StatusUnsupportedMediaType, tier.CodeInvalid
-			}
-			tier.WriteError(w, status, code, "cannot parse body")
-			return
-		}
-		srv.Handler().ServeHTTP(w, r)
-	}))
-	defer legacy.Close()
-
-	c := connectCluster(t, []string{legacy.URL})
-	b := c.backendsNow()[0]
-	req := validSearchRequest()
-	resp, err := b.search(context.Background(), req)
-	if err != nil {
-		t.Fatalf("search through legacy backend: %v", err)
-	}
-	if *resp.Segment != 0 || len(resp.Hits) == 0 {
-		t.Fatalf("fallback search returned %+v", resp)
-	}
-	if rejects != 1 {
-		t.Fatalf("legacy backend saw %d binary bodies, want exactly 1", rejects)
-	}
-	if b.useBinary.Load() {
-		t.Error("backend not demoted to JSON after rejection")
-	}
-	if b.codecFallbacks.Load() != 1 || b.binSearches.Load() != 1 || b.jsonSearches.Load() != 1 {
-		t.Errorf("counters fallbacks=%d bin=%d json=%d, want 1/1/1",
-			b.codecFallbacks.Load(), b.binSearches.Load(), b.jsonSearches.Load())
-	}
-	// Subsequent queries go straight to JSON.
-	if _, err := b.search(context.Background(), req); err != nil {
-		t.Fatalf("post-demotion search: %v", err)
-	}
-	if rejects != 1 {
-		t.Fatalf("demoted backend sent binary again (%d rejections)", rejects)
-	}
-}
-
-// TestDistributedCodecParity: rankings through the binary codec are
-// bit-identical to the same cluster forced onto JSON — the codec can
-// change bytes on the wire, never a score or an order.
-func TestDistributedCodecParity(t *testing.T) {
-	_, sh := buildCorpus(t, 11, 90, 3)
-	addrs := startTopology(t, sh, 2)
-	binC := connectCluster(t, addrs)
-	jsonC := connectCluster(t, addrs, WithJSONCodec())
-	binEng := binC.NewEngine(nil, 2)
-	jsonEng := jsonC.NewEngine(nil, 2)
-	for _, qt := range queriesFor(5, 8) {
-		for _, k := range []int{3, 10, 1000} {
-			opts := search.Options{K: k, Scorer: search.BM25{}}
-			bres, berr := binEng.Search(binEng.ParseText(qt), opts)
-			jres, jerr := jsonEng.Search(jsonEng.ParseText(qt), opts)
-			if berr != nil || jerr != nil {
-				t.Fatalf("q=%q k=%d: errors %v / %v", qt, k, berr, jerr)
-			}
-			if !reflect.DeepEqual(bres, jres) {
-				t.Fatalf("q=%q k=%d: binary and JSON rankings diverged", qt, k)
-			}
-		}
-	}
-	for _, b := range binC.backendsNow() {
-		if b.binSearches.Load() == 0 || b.jsonSearches.Load() != 0 {
-			t.Errorf("backend %s: bin=%d json=%d, want all-binary", b.addr, b.binSearches.Load(), b.jsonSearches.Load())
-		}
-	}
-	for _, b := range jsonC.backendsNow() {
-		if b.binSearches.Load() != 0 {
-			t.Errorf("backend %s sent binary despite WithJSONCodec", b.addr)
-		}
-	}
-}
-
-// TestSegmentPrometheusCodecFamilies: the scrape surface the CI smoke
-// test asserts against — codec split and kernel block-max counters.
+// TestSegmentPrometheusCodecFamilies: after one IVRB search, the scrape
+// surface the CI smoke test asserts against — the kernel block-max
+// counters — is present.
 func TestSegmentPrometheusCodecFamilies(t *testing.T) {
 	ts, _, _ := newRPCServer(t, 2)
 	req := validSearchRequest()
-	frame := appendSearchRequest(nil, &req)
+	frame := AppendSearchRequest(nil, &req)
 	resp, err := http.Post(ts.URL+SearchPath, ContentTypeBinary, bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
@@ -382,8 +230,6 @@ func TestSegmentPrometheusCodecFamilies(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{
-		`ivr_rpc_codec_requests_total{codec="binary"} 1`,
-		`ivr_rpc_codec_requests_total{codec="json"}`,
 		"# TYPE ivr_kernel_blocks_skipped_total counter",
 		"ivr_kernel_segment_scans_total",
 		"ivr_kernel_postings_skipped_total",
@@ -394,7 +240,7 @@ func TestSegmentPrometheusCodecFamilies(t *testing.T) {
 	}
 }
 
-// --- per-hop codec micro-benchmarks (JSON vs binary) ---
+// --- per-hop codec micro-benchmarks ---
 
 func benchRequest() SearchRequest {
 	req := SearchRequest{
@@ -423,31 +269,13 @@ func benchHits(n int) []WireHit {
 func BenchmarkSearchRequestBinary(b *testing.B) {
 	req := benchRequest()
 	var dec SearchRequest
-	buf := appendSearchRequest(nil, &req)
+	buf := AppendSearchRequest(nil, &req)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendSearchRequest(buf[:0], &req)
+		buf = AppendSearchRequest(buf[:0], &req)
 		if err := decodeSearchRequest(buf, &dec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSearchRequestJSON(b *testing.B) {
-	req := benchRequest()
-	var dec SearchRequest
-	ref, _ := json.Marshal(&req)
-	b.SetBytes(int64(len(ref)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := json.Marshal(&req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := json.Unmarshal(buf, &dec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -455,8 +283,7 @@ func BenchmarkSearchRequestJSON(b *testing.B) {
 
 func BenchmarkSearchResponseBinary(b *testing.B) {
 	hits := benchHits(10)
-	var seg, cand int
-	out := SearchResponse{Segment: &seg, Candidates: &cand}
+	var out SearchResponse
 	buf := appendSearchResponse(nil, 2, hits, 4321)
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
@@ -464,27 +291,6 @@ func BenchmarkSearchResponseBinary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = appendSearchResponse(buf[:0], 2, hits, 4321)
 		if err := decodeSearchResponse(buf, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSearchResponseJSON(b *testing.B) {
-	hits := benchHits(10)
-	seg, cand := 2, 4321
-	resp := SearchResponse{Segment: &seg, Candidates: &cand, Hits: hits}
-	var out SearchResponse
-	ref, _ := json.Marshal(&resp)
-	b.SetBytes(int64(len(ref)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := json.Marshal(&resp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out.Hits = out.Hits[:0]
-		if err := json.Unmarshal(buf, &out); err != nil {
 			b.Fatal(err)
 		}
 	}

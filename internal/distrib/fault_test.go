@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -231,16 +232,21 @@ func TestSlowBackend(t *testing.T) {
 type garbageSwitch struct {
 	inner http.Handler
 	mode  atomic.Int32
+	seq   atomic.Uint64 // garbageFlap's per-request sequence
 }
 
-// Corruption modes.
+// Corruption modes. Every frame-shaped mode echoes the requested
+// segment unless the echo itself is the fault, so each mode trips
+// exactly one client-side check.
 const (
 	garbageOff         = iota // pass through
-	garbageNotJSON            // 200 with a non-JSON body
-	garbageWrongShape         // 200 JSON missing the required keys
-	garbageWrongSeg           // 200 well-formed but wrong segment echo
+	garbageNotFrame           // 200 IVRB content type, body not a frame
+	garbageTruncated          // 200 IVRB frame cut short
+	garbageWrongSeg           // 200 valid frame, wrong segment echo
+	garbageFewCands           // 200 valid frame, fewer candidates than hits
 	garbageErrorStatus        // 500 with an error envelope
-	garbageBadContent         // 200 JSON body, text/html content type
+	garbageBadContent         // 200 valid frame, text/html content type
+	garbageFlap               // search RPCs in alternating runs of 8: passed through, then truncated
 )
 
 func (g *garbageSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -249,22 +255,48 @@ func (g *garbageSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.inner.ServeHTTP(w, r)
 		return
 	}
-	switch mode {
-	case garbageNotJSON:
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, "<html>definitely not json</html>")
-	case garbageWrongShape:
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{}`)
-	case garbageWrongSeg:
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"segment": 9999, "hits": [], "candidates": 0}`)
-	case garbageErrorStatus:
-		tier.WriteError(w, http.StatusInternalServerError, tier.CodeInternal, "injected fault")
-	case garbageBadContent:
-		w.Header().Set("Content-Type", "text/html")
-		fmt.Fprint(w, `{"segment": 0, "hits": [], "candidates": 0}`)
+	if mode == garbageFlap {
+		// Runs longer than one query's fan-out, so whole queries land on
+		// either side of a flip as well as across it.
+		if (g.seq.Add(1)-1)/8%2 == 0 {
+			g.inner.ServeHTTP(w, r)
+			return
+		}
+		mode = garbageTruncated
 	}
+	if mode == garbageErrorStatus {
+		tier.WriteError(w, http.StatusInternalServerError, tier.CodeInternal, "injected fault")
+		return
+	}
+	var req SearchRequest
+	body, err := io.ReadAll(r.Body)
+	if err == nil {
+		err = decodeSearchRequest(body, &req)
+	}
+	if err != nil {
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "garbage switch: %v", err)
+		return
+	}
+	hits := []WireHit{{Doc: 0, ID: "s0000", Score: 1}}
+	segment, candidates := req.Segment, len(hits)
+	switch mode {
+	case garbageWrongSeg:
+		segment = 9999
+	case garbageFewCands:
+		candidates = 0
+	}
+	frame := appendSearchResponse(nil, segment, hits, candidates)
+	contentType := ContentTypeBinary
+	switch mode {
+	case garbageNotFrame:
+		frame = []byte("\xde\xad\xbe\xef not a frame")
+	case garbageTruncated:
+		frame = frame[:len(frame)-3]
+	case garbageBadContent:
+		contentType = "text/html"
+	}
+	w.Header().Set("Content-Type", contentType)
+	_, _ = w.Write(frame)
 }
 
 // TestGarbageBackend: every corruption mode surfaces as a typed error
@@ -291,9 +323,10 @@ func TestGarbageBackend(t *testing.T) {
 		mode     int32
 		sentinel error
 	}{
-		{"non-json body", garbageNotJSON, ErrBadResponse},
-		{"missing keys", garbageWrongShape, ErrBadResponse},
+		{"not a frame", garbageNotFrame, ErrBadResponse},
+		{"truncated frame", garbageTruncated, ErrBadResponse},
 		{"wrong segment echo", garbageWrongSeg, ErrBadResponse},
+		{"candidates below hits", garbageFewCands, ErrBadResponse},
 		{"error status", garbageErrorStatus, ErrBackendStatus},
 		{"wrong content type", garbageBadContent, ErrBadResponse},
 	}
@@ -326,9 +359,10 @@ func TestGarbageBackend(t *testing.T) {
 }
 
 // TestConcurrentSearchWithFlappingBackend hammers one engine from many
-// goroutines while a backend flaps between healthy and corrupt (run
-// under -race in CI): every call must return either the exact healthy
-// ranking or a typed error — nothing in between.
+// goroutines while a backend flaps between healthy and corrupt on
+// alternate search RPCs (run under -race in CI): every call must return
+// either the exact healthy ranking or a typed error — nothing in
+// between.
 func TestConcurrentSearchWithFlappingBackend(t *testing.T) {
 	_, sh := buildCorpus(t, 17, 100, 4)
 	srv, err := NewSegmentServer(ServerConfig{Sharded: sh})
@@ -345,22 +379,7 @@ func TestConcurrentSearchWithFlappingBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stop := make(chan struct{})
-	go func() {
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if i%2 == 0 {
-				g.mode.Store(garbageWrongShape)
-			} else {
-				g.mode.Store(garbageOff)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	g.mode.Store(garbageFlap)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
@@ -384,7 +403,6 @@ func TestConcurrentSearchWithFlappingBackend(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	close(stop)
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func goldenHits() []WireHit {
 
 func TestGoldenFrames(t *testing.T) {
 	req := codecRequest()
-	if got := hex.EncodeToString(appendSearchRequest(nil, &req)); got != goldenRequestFrame {
+	if got := hex.EncodeToString(AppendSearchRequest(nil, &req)); got != goldenRequestFrame {
 		t.Errorf("IVRB request frame moved:\n got %s\nwant %s", got, goldenRequestFrame)
 	}
 	if got := hex.EncodeToString(appendSearchResponse(nil, 5, goldenHits(), 123)); got != goldenResponseFrame {

@@ -14,8 +14,7 @@
 //     scoring kernel, search.ScoreIndexSegment;
 //   - search bodies travel as IVRB binary frames (codec.go) that carry
 //     every score and statistic as its raw IEEE-754 bits, so they cross
-//     the wire bit-identically; the JSON fallback is exact too, because
-//     encoding/json formats float64 in shortest form.
+//     the wire bit-identically.
 //
 // Distributed rankings are therefore bit-identical to the in-process
 // engine over the same document stream — the distributed parity test
@@ -26,7 +25,8 @@
 //
 //	GET  /rpc/v1/stats         segment topology + full per-term statistics
 //	POST /rpc/v1/search        score one hosted segment with shipped stats
-//	                           (IVRB frames under ContentTypeBinary, JSON otherwise)
+//	                           (IVRB frames under ContentTypeBinary; any other
+//	                           request media type is a 415)
 //	GET  /rpc/v1/healthz       liveness
 //	GET  /rpc/v1/metrics       per-route telemetry snapshot (?format=prometheus for text exposition)
 //	GET  /rpc/v1/debug/traces  ring of recently finished query traces
@@ -67,8 +67,8 @@ const MaxSearchBody = 1 << 20
 
 // WireTerm is one analysed query term with its query-side weight.
 type WireTerm struct {
-	Term   string  `json:"term"`
-	Weight float64 `json:"weight"`
+	Term   string
+	Weight float64
 }
 
 // WireTermStats carries the merge-tier-computed collection-wide
@@ -77,57 +77,56 @@ type WireTerm struct {
 // statistics — is what keeps remote scoring bit-identical to the
 // in-process fan-out.
 type WireTermStats struct {
-	N         int     `json:"n"`
-	AvgDocLen float64 `json:"avg_doc_len"`
-	TotalLen  int64   `json:"total_len"`
-	DF        int     `json:"df"`
-	CF        int64   `json:"cf"`
-	Weight    float64 `json:"weight"`
+	N         int
+	AvgDocLen float64
+	TotalLen  int64
+	DF        int
+	CF        int64
+	Weight    float64
 }
 
 // ScorerSpec names a scorer and its parameters on the wire. Only the
 // built-in scorer families are serialisable; a custom Scorer
 // implementation cannot cross the process boundary.
 type ScorerSpec struct {
-	Name string `json:"name"`
+	Name string
 	// K1/B parameterise bm25, Mu parameterises dirichlet-lm; zero
 	// values select each scorer's own defaults, exactly as in-process.
-	K1 float64 `json:"k1,omitempty"`
-	B  float64 `json:"b,omitempty"`
-	Mu float64 `json:"mu,omitempty"`
+	K1 float64
+	B  float64
+	Mu float64
 }
 
 // SearchRequest asks a segment server to score one hosted segment.
 type SearchRequest struct {
 	// Segment is the global segment ordinal to score.
-	Segment int `json:"segment"`
+	Segment int
 	// Field is the index field name ("text" or "concept").
-	Field  string          `json:"field"`
-	Terms  []WireTerm      `json:"terms"`
-	Stats  []WireTermStats `json:"stats"`
-	Scorer ScorerSpec      `json:"scorer"`
+	Field  string
+	Terms  []WireTerm
+	Stats  []WireTermStats
+	Scorer ScorerSpec
 	// K bounds the segment-local result list; K <= 0 returns every
 	// candidate (the merge tier requests the full list when it must
 	// apply an opaque filter itself).
-	K int `json:"k"`
+	K int
 }
 
 // WireHit is one scored document: the global doc ID, the external
 // (shot) identifier, and the final segment-computed score.
 type WireHit struct {
-	Doc   uint32  `json:"doc"`
-	ID    string  `json:"id"`
-	Score float64 `json:"score"`
+	Doc   uint32
+	ID    string
+	Score float64
 }
 
-// SearchResponse is one segment's partial result. Segment and
-// Candidates are pointers so the merge tier can tell a well-formed
-// empty result from a garbage body that happens to parse as JSON:
-// a response missing either key is rejected as malformed.
+// SearchResponse is one segment's partial result: the scored segment's
+// ordinal (echoed so the merge tier can check it), its top hits, and
+// its total candidate count.
 type SearchResponse struct {
-	Segment    *int      `json:"segment"`
-	Hits       []WireHit `json:"hits"`
-	Candidates *int      `json:"candidates"`
+	Segment    int
+	Hits       []WireHit
+	Candidates int
 }
 
 // TermCounts is one term's document and collection frequency.

@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/index"
@@ -65,27 +63,11 @@ type SegmentServer struct {
 	sourceHash uint64
 	statsBody  []byte // precomputed: the index is immutable
 	metrics    *metrics.Registry
-	codec      codecCounters
 	tracer     *trace.Collector
 	handler    http.Handler
 	// gate runs the overload protocol on search RPCs: X-IVR-Deadline
 	// budgets, admission control, and the deadline_exceeded ledger.
 	gate *overload.Gate
-}
-
-// codecCounters counts /rpc/v1/search bodies by negotiated codec —
-// the observable proof (scraped by the CI smoke test) that the merge
-// tier actually negotiated the binary framing instead of silently
-// falling back to JSON.
-type codecCounters struct {
-	binary atomic.Int64
-	json   atomic.Int64
-}
-
-// codecSnapshot is the JSON rendering of codecCounters.
-type codecSnapshot struct {
-	Binary int64 `json:"binary"`
-	JSON   int64 `json:"json"`
 }
 
 // NewSegmentServer validates the hosted set and precomputes the stats
@@ -249,7 +231,6 @@ func (s *SegmentServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	tier.WriteJSON(w, http.StatusOK, struct {
 		metrics.Snapshot
-		Codec codecSnapshot `json:"codec"`
 		// Kernel is process-wide: every hosted segment scores through
 		// the same pooled kernel.
 		Kernel           search.KernelStats      `json:"kernel"`
@@ -257,7 +238,6 @@ func (s *SegmentServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		DeadlineExceeded int64                   `json:"deadline_exceeded"`
 	}{
 		Snapshot:         s.metrics.TakeSnapshot(),
-		Codec:            codecSnapshot{Binary: s.codec.binary.Load(), JSON: s.codec.json.Load()},
 		Kernel:           search.ReadKernelStats(),
 		Admission:        s.gate.Admission().Stats(),
 		DeadlineExceeded: s.gate.DeadlineExceeded(),
@@ -270,12 +250,9 @@ func (s *SegmentServer) handlePrometheus(w http.ResponseWriter, _ *http.Request)
 	if err := s.metrics.WritePrometheus(w, trace.TierSegment); err != nil {
 		return
 	}
-	// Segment-tier extras on the same scrape: search-body codec split
-	// and the scoring kernel's block-max telemetry.
+	// Segment-tier extras on the same scrape: the scoring kernel's
+	// block-max telemetry.
 	p := metrics.NewPromWriter(w)
-	p.Family("ivr_rpc_codec_requests_total", "counter")
-	p.Sample("ivr_rpc_codec_requests_total", float64(s.codec.binary.Load()), "codec", "binary")
-	p.Sample("ivr_rpc_codec_requests_total", float64(s.codec.json.Load()), "codec", "json")
 	ks := search.ReadKernelStats()
 	kernel := []struct {
 		name string
@@ -302,12 +279,17 @@ var searchReqPool = sync.Pool{New: func() any { return new(SearchRequest) }}
 
 // handleSearch scores one hosted segment with the request's global
 // statistics through the same search.ScoreIndexSegment kernel the
-// in-process fan-out runs. The body codec follows the request's
-// Content-Type: the binary frame on the hot path, JSON as the
-// universal fallback; the response is always encoded in the same
-// codec the request arrived in.
+// in-process fan-out runs. Request and response bodies are IVRB frames
+// (codec.go).
 func (s *SegmentServer) handleSearch(w http.ResponseWriter, r *http.Request) {
-	// Deadline and admission first: a request whose budget is spent (or
+	// The body must be an IVRB frame: any other media type is refused
+	// typed before the gate claims a slot or a byte of body is read.
+	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt != ContentTypeBinary {
+		tier.WriteError(w, http.StatusUnsupportedMediaType, tier.CodeInvalid,
+			"content type %q, want %s", r.Header.Get("Content-Type"), ContentTypeBinary)
+		return
+	}
+	// Deadline and admission next: a request whose budget is spent (or
 	// garbled), or that arrives over the concurrency limit, is answered
 	// typed before any byte of body is read.
 	ctx, release, ok := s.gate.Enter(w, r, 0)
@@ -316,29 +298,15 @@ func (s *SegmentServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	r.Body = http.MaxBytesReader(w, r.Body, MaxSearchBody)
-	reqMT, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	binaryReq := reqMT == ContentTypeBinary
 	req := searchReqPool.Get().(*SearchRequest)
 	defer searchReqPool.Put(req)
-	// Reset fully: a JSON body leaves fields its keys omit untouched,
-	// and this struct carries the previous query's.
-	*req = SearchRequest{Terms: req.Terms[:0], Stats: req.Stats[:0]}
 	_, dec := trace.StartSpan(r.Context(), "decode")
-	if binaryReq {
-		dec.SetAttr("codec", "binary")
-	}
 	bodyBuf := getBuf()
 	body, err := appendAll((*bodyBuf)[:0], r.Body)
 	*bodyBuf = body[:0]
 	defer putBuf(bodyBuf)
 	if err == nil {
-		if binaryReq {
-			s.codec.binary.Add(1)
-			err = decodeSearchRequest(body, req)
-		} else {
-			s.codec.json.Add(1)
-			err = json.Unmarshal(body, req)
-		}
+		err = decodeSearchRequest(body, req)
 	}
 	dec.End()
 	if err != nil {
@@ -348,11 +316,7 @@ func (s *SegmentServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 				"request body exceeds %d bytes", MaxSearchBody)
 			return
 		}
-		if binaryReq {
-			tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "invalid binary frame: %v", err)
-			return
-		}
-		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "invalid JSON: %v", err)
+		tier.WriteError(w, http.StatusBadRequest, tier.CodeInvalid, "invalid binary frame: %v", err)
 		return
 	}
 	seg, ok := s.hosted[req.Segment]
@@ -422,32 +386,15 @@ func (s *SegmentServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	search.RecycleHits(res.Hits)
 	// Encode into a pooled buffer and stream it with an exact
 	// Content-Length — one write, no chunked framing, no intermediate
-	// copy on either codec.
+	// copy.
 	respBuf := getBuf()
 	defer putBuf(respBuf)
 	_, enc := trace.StartSpan(r.Context(), "encode")
-	var encErr error
-	contentType := "application/json"
-	if binaryReq {
-		contentType = ContentTypeBinary
-		*respBuf = appendSearchResponse((*respBuf)[:0], ordinal, hits, res.Candidates)
-	} else {
-		buf := bytes.NewBuffer((*respBuf)[:0])
-		encErr = json.NewEncoder(buf).Encode(SearchResponse{
-			Segment:    &ordinal,
-			Hits:       hits,
-			Candidates: &res.Candidates,
-		})
-		*respBuf = buf.Bytes()
-	}
+	*respBuf = appendSearchResponse((*respBuf)[:0], ordinal, hits, res.Candidates)
 	enc.SetAttr("bytes", strconv.Itoa(len(*respBuf)))
 	enc.End()
 	recycleWireHits(hits)
-	if encErr != nil {
-		tier.WriteError(w, http.StatusInternalServerError, tier.CodeInternal, "encode response: %v", encErr)
-		return
-	}
-	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Type", ContentTypeBinary)
 	w.Header().Set("Content-Length", strconv.Itoa(len(*respBuf)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(*respBuf)

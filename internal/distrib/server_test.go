@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -66,14 +68,18 @@ func validSearchRequest() SearchRequest {
 	}
 }
 
-func postSearch(t *testing.T, url string, body []byte) *http.Response {
+// postFrame posts body to the search endpoint as an IVRB frame.
+func postFrame(t *testing.T, url string, body []byte) *http.Response {
 	t.Helper()
-	resp, err := http.Post(url+SearchPath, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+SearchPath, ContentTypeBinary, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp
 }
+
+// frameOf encodes req as an IVRB request frame.
+func frameOf(req SearchRequest) []byte { return AppendSearchRequest(nil, &req) }
 
 func TestRPCStatsEndpoint(t *testing.T) {
 	ts, _, sh := newRPCServer(t, 3)
@@ -116,25 +122,32 @@ func TestRPCStatsEndpoint(t *testing.T) {
 }
 
 // TestRPCSearchEndpoint checks the happy path against a direct
-// invocation of the shared scoring kernel.
+// invocation of the shared scoring kernel: an IVRB request is answered
+// with an IVRB frame, exactly Content-Length long, whose hits are
+// bit-identical to the kernel's.
 func TestRPCSearchEndpoint(t *testing.T) {
 	ts, _, sh := newRPCServer(t, 3)
-	req := validSearchRequest()
-	body, _ := json.Marshal(req)
-	resp := postSearch(t, ts.URL, body)
+	resp := postFrame(t, ts.URL, frameOf(validSearchRequest()))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeBinary {
 		t.Fatalf("content type %q", ct)
 	}
-	var out SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Segment == nil || *out.Segment != 0 || out.Candidates == nil {
-		t.Fatalf("response echo missing: %+v", out)
+	if resp.ContentLength != int64(len(body)) {
+		t.Fatalf("Content-Length %d, body %d bytes", resp.ContentLength, len(body))
+	}
+	var out SearchResponse
+	if err := decodeSearchResponse(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Segment != 0 {
+		t.Fatalf("segment echo %d, want 0", out.Segment)
 	}
 	want := search.ScoreIndexSegment(sh.Segment(0), func(d index.DocID) index.DocID {
 		return sh.GlobalID(0, d)
@@ -143,14 +156,44 @@ func TestRPCSearchEndpoint(t *testing.T) {
 		Terms: []search.WeightedTerm{{Term: "goal", Weight: 1}},
 	}, []search.TermStats{{N: 60, AvgDocLen: 7, TotalLen: 420, DF: 20, CF: 35, Weight: 1}},
 		search.BM25{}, nil, 10)
-	if *out.Candidates != want.Candidates || len(out.Hits) != len(want.Hits) {
+	if out.Candidates != want.Candidates || len(out.Hits) != len(want.Hits) {
 		t.Fatalf("got %d hits/%d candidates, want %d/%d",
-			len(out.Hits), *out.Candidates, len(want.Hits), want.Candidates)
+			len(out.Hits), out.Candidates, len(want.Hits), want.Candidates)
 	}
 	for i, h := range out.Hits {
-		if h.ID != want.Hits[i].ID || h.Score != want.Hits[i].Score || index.DocID(h.Doc) != want.Hits[i].Doc {
-			t.Fatalf("hit %d: %+v != %+v (JSON must round-trip scores exactly)", i, h, want.Hits[i])
+		if h.ID != want.Hits[i].ID || math.Float64bits(h.Score) != math.Float64bits(want.Hits[i].Score) ||
+			index.DocID(h.Doc) != want.Hits[i].Doc {
+			t.Fatalf("hit %d: %+v != %+v (IVRB must carry scores bit-exactly)", i, h, want.Hits[i])
 		}
+	}
+}
+
+// TestRPCSearchRejectsJSON: a body in any media type but IVRB — here a
+// complete, well-formed JSON search — is refused with the typed 415
+// envelope before it is read or admitted.
+func TestRPCSearchRejectsJSON(t *testing.T) {
+	ts, srv, _ := newRPCServer(t, 2)
+	resp, err := http.Post(ts.URL+SearchPath, "application/json", strings.NewReader(
+		`{"segment":0,"field":"text","terms":[{"term":"goal","weight":1}],`+
+			`"stats":[{"n":60,"avg_doc_len":7,"total_len":420,"df":20,"cf":35,"weight":1}],`+
+			`"scorer":{"name":"bm25"},"k":10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("status %d, want 415 (%s)", resp.StatusCode, body)
+	}
+	want := `{"error":{"code":"invalid_request","message":"content type \"application/json\", want application/x-ivr-search"}}` + "\n"
+	if string(body) != want {
+		t.Fatalf("body %q, want %q", body, want)
+	}
+	if n := srv.Gate().Admission().Stats().Admitted; n != 0 {
+		t.Errorf("refused body was admitted (%d)", n)
 	}
 }
 
@@ -161,8 +204,7 @@ func TestRPCSearchErrors(t *testing.T) {
 	mutate := func(fn func(*SearchRequest)) []byte {
 		req := validSearchRequest()
 		fn(&req)
-		b, _ := json.Marshal(req)
-		return b
+		return frameOf(req)
 	}
 	cases := []struct {
 		name       string
@@ -170,7 +212,7 @@ func TestRPCSearchErrors(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"malformed json", []byte("{nope"), http.StatusBadRequest, tier.CodeInvalid},
+		{"malformed frame", []byte("{nope"), http.StatusBadRequest, tier.CodeInvalid},
 		{"not hosted", mutate(func(r *SearchRequest) { r.Segment = 7 }), http.StatusNotFound, tier.CodeNotFound},
 		{"negative segment", mutate(func(r *SearchRequest) { r.Segment = -1 }), http.StatusNotFound, tier.CodeNotFound},
 		{"bad field", mutate(func(r *SearchRequest) { r.Field = "vibes" }), http.StatusBadRequest, tier.CodeInvalid},
@@ -181,7 +223,7 @@ func TestRPCSearchErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wantRPCEnvelope(t, postSearch(t, ts.URL, tc.body), tc.wantStatus, tc.wantCode)
+			wantRPCEnvelope(t, postFrame(t, ts.URL, tc.body), tc.wantStatus, tc.wantCode)
 		})
 	}
 }
@@ -190,10 +232,11 @@ func TestRPCSearchErrors(t *testing.T) {
 // with 413, not read to the end.
 func TestRPCSearchOversizedBody(t *testing.T) {
 	ts, _, _ := newRPCServer(t, 2)
-	// Valid JSON whose bulk crosses the limit, so the decoder hits the
-	// MaxBytesReader cap rather than a syntax error.
-	big := []byte(`{"field":"` + strings.Repeat("a", MaxSearchBody) + `"}`)
-	wantRPCEnvelope(t, postSearch(t, ts.URL, big), http.StatusRequestEntityTooLarge, tier.CodeTooLarge)
+	// A well-formed frame whose field name alone crosses the limit, so
+	// the read hits the MaxBytesReader cap rather than a decode error.
+	req := validSearchRequest()
+	req.Field = strings.Repeat("a", MaxSearchBody)
+	wantRPCEnvelope(t, postFrame(t, ts.URL, frameOf(req)), http.StatusRequestEntityTooLarge, tier.CodeTooLarge)
 }
 
 func TestRPCHealthz(t *testing.T) {
@@ -223,8 +266,7 @@ func TestRPCHealthz(t *testing.T) {
 func TestRPCRouteLabelNormalization(t *testing.T) {
 	ts, srv, _ := newRPCServer(t, 2)
 	// A valid call plus a storm of junk paths.
-	body, _ := json.Marshal(validSearchRequest())
-	postSearch(t, ts.URL, body).Body.Close()
+	postFrame(t, ts.URL, frameOf(validSearchRequest())).Body.Close()
 	for i := 0; i < 25; i++ {
 		for _, path := range []string{
 			fmt.Sprintf("/rpc/v1/bogus%d", i),

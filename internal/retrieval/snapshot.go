@@ -31,12 +31,10 @@ type BackendSummary struct {
 	Segments []int `json:"segments"`
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
-	// BinarySearches/JSONSearches split the search RPCs by negotiated
-	// body codec; CodecFallbacks counts permanent demotions to JSON
-	// after a backend rejected a binary body (at most one per backend
-	// per process, so nonzero here means a mixed-version topology).
-	BinarySearches int64 `json:"binary_searches"`
-	JSONSearches   int64 `json:"json_searches"`
+	// CodecFallbacks is always zero: search RPCs speak one codec. It
+	// remains only because the bench harness (bench/scrape.go) reads it
+	// for its codec_fallbacks validity guard; the field and the guard go
+	// together.
 	CodecFallbacks int64 `json:"codec_fallbacks,omitempty"`
 	// Hedges counts search RPCs sent to this backend as the hedged
 	// duplicate of a slow twin; Failovers counts RPCs sent here because

@@ -134,7 +134,7 @@ func newTargets(t *testing.T, clk overload.Clock) []target {
 		term = tm
 		return false
 	})
-	rpcBody, err := json.Marshal(distrib.SearchRequest{
+	rpcBody := distrib.AppendSearchRequest(nil, &distrib.SearchRequest{
 		Segment: 0,
 		Field:   index.FieldText.String(),
 		Terms:   []distrib.WireTerm{{Term: term, Weight: 1}},
@@ -142,9 +142,6 @@ func newTargets(t *testing.T, clk overload.Clock) []target {
 		Scorer:  distrib.ScorerSpec{Name: "bm25"},
 		K:       10,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		tier.WriteJSON(w, http.StatusOK, struct{}{})
@@ -164,7 +161,7 @@ func newTargets(t *testing.T, clk overload.Clock) []target {
 		serve("/api/v1/search/stream"),
 		{name: trace.TierSegment, handler: seg.Handler(), gate: seg.Gate(), search: func() *http.Request {
 			req := httptest.NewRequest("POST", distrib.SearchPath, bytes.NewReader(rpcBody))
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", distrib.ContentTypeBinary)
 			return req
 		}},
 	}
