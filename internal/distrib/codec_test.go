@@ -187,6 +187,59 @@ func TestBinaryCodecCorruptionFuzz(t *testing.T) {
 	}
 }
 
+// TestRPCSearchBinaryEndpoint checks the IVRB framing of answers from
+// every hosted segment: the media type, an exact Content-Length, the
+// segment echo, candidates covering the hits, a canonical encoding (the
+// decoded response re-encodes to the same bytes), and byte-identical
+// answers to a repeated request, so pooled buffers carry nothing over.
+func TestRPCSearchBinaryEndpoint(t *testing.T) {
+	const segments = 3
+	ts, _, _ := newRPCServer(t, segments)
+	post := func(frame []byte) []byte {
+		resp, err := http.Post(ts.URL+SearchPath, ContentTypeBinary, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != ContentTypeBinary {
+			t.Fatalf("binary request answered with content type %q", ct)
+		}
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if cl := resp.ContentLength; cl != int64(buf.Len()) {
+			t.Fatalf("Content-Length %d, body %d bytes", cl, buf.Len())
+		}
+		return buf.Bytes()
+	}
+	for seg := 0; seg < segments; seg++ {
+		req := validSearchRequest()
+		req.Segment = seg
+		frame := AppendSearchRequest(nil, &req)
+		body := post(frame)
+		var got SearchResponse
+		if err := decodeSearchResponse(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Segment != seg {
+			t.Fatalf("segment %d answered with echo %d", seg, got.Segment)
+		}
+		if len(got.Hits) == 0 || got.Candidates < len(got.Hits) {
+			t.Fatalf("segment %d: %d hits from %d candidates", seg, len(got.Hits), got.Candidates)
+		}
+		if re := appendSearchResponse(nil, got.Segment, got.Hits, got.Candidates); !bytes.Equal(re, body) {
+			t.Fatalf("segment %d: response frame is not the canonical encoding of its contents", seg)
+		}
+		if again := post(frame); !bytes.Equal(again, body) {
+			t.Fatalf("segment %d: repeated request answered with different bytes", seg)
+		}
+	}
+}
+
 // TestRPCSearchBinaryErrors: oversized bodies 413 before decode,
 // malformed frames 400, and both answer with the JSON error envelope.
 func TestRPCSearchBinaryErrors(t *testing.T) {
