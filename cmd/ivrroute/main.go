@@ -14,6 +14,12 @@
 // next replica in rendezvous order, which restores them from the
 // shared session store (-session-store on each ivrserve).
 //
+// Replica health comes from the stack's one prober (overload.Prober,
+// shared with ivrserve's segment cluster): a GET of each replica's
+// /api/v1/healthz at start and then every -probe-interval, bounded by
+// 2s; three consecutive failures take a replica out of rotation and
+// one healthy answer brings it back.
+//
 // The router's own /api/v1/healthz aggregates replica liveness and
 // /api/v1/metrics reports per-replica request/error/re-route counters.
 package main
@@ -46,8 +52,6 @@ func main() {
 	var (
 		replicas      = flag.String("replicas", "", "comma-separated ivrserve base URLs (required)")
 		probeInterval = flag.Duration("probe-interval", router.DefaultProbeInterval, "health poll cadence")
-		probeTimeout  = flag.Duration("probe-timeout", router.DefaultProbeTimeout, "per-probe deadline")
-		failThreshold = flag.Int("fail-threshold", router.DefaultFailThreshold, "consecutive probe failures before a replica leaves rotation")
 		deadline      = flag.Duration("deadline", router.DefaultSearchDeadline, "X-IVR-Deadline budget minted for search requests arriving without one (negative disables minting; inbound budgets are always enforced)")
 	)
 	flag.Parse()
@@ -59,8 +63,6 @@ func main() {
 	rt, err := router.New(router.Config{
 		Replicas:       splitAddrs(*replicas),
 		ProbeInterval:  *probeInterval,
-		ProbeTimeout:   *probeTimeout,
-		FailThreshold:  *failThreshold,
 		SlowQuery:      common.SlowQuery,
 		Logger:         common.Logger(),
 		SearchDeadline: *deadline,

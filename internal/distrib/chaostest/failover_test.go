@@ -1,6 +1,8 @@
 package chaostest
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,22 +158,39 @@ func TestProbeDrivenRouting(t *testing.T) {
 
 // TestProbeLoopOnFakeClock: the background probe loop ticks on the
 // injected clock — advancing it runs a probe pass without any real
-// time passing.
+// time passing. The cluster runs no pass before its first tick, and
+// one failed probe is enough to mark a replica unhealthy.
 func TestProbeLoopOnFakeClock(t *testing.T) {
 	h := New(t, Config{Seed: 17, Docs: 60, Segments: 1, Groups: 1, Replicas: 2})
-	c := h.Connect(distrib.WithProbeInterval(time.Second))
+	var probes atomic.Int64
+	scripted := h.Prober()
+	c := h.Connect(distrib.WithProbeInterval(time.Second),
+		distrib.WithProber(func(ctx context.Context, addr string) error {
+			probes.Add(1)
+			return scripted(ctx, addr)
+		}))
 	victim := h.Groups[0][0]
 	victim.Injector.Set(Kill)
 
-	// The loop armed its first tick at connect; fire it and wait for
-	// the health bit to flip.
+	// The loop armed its first tick at connect and probes nothing
+	// until it fires.
 	h.Clock.AwaitTimers(1)
+	if n := probes.Load(); n != 0 {
+		t.Fatalf("%d probes before the first tick, want none", n)
+	}
+	// Fire it; the loop arming its next tick is the barrier that says
+	// the pass has finished.
 	h.Clock.Advance(time.Second)
-	deadline := time.Now().Add(5 * time.Second)
-	for summaryOf(t, c, victim.Addr()).Healthy {
-		if time.Now().After(deadline) {
-			t.Fatal("probe loop never marked the dead replica unhealthy")
-		}
-		time.Sleep(time.Millisecond)
+	h.Clock.AwaitTimers(2)
+	if s := summaryOf(t, c, victim.Addr()); s.Healthy || s.ProbeFailures != 1 {
+		t.Fatalf("after one failed pass: healthy=%v probe_failures=%d, want unhealthy and 1", s.Healthy, s.ProbeFailures)
+	}
+
+	// One healthy pass brings it back.
+	victim.Injector.Set(Off)
+	h.Clock.Advance(time.Second)
+	h.Clock.AwaitTimers(3)
+	if s := summaryOf(t, c, victim.Addr()); !s.Healthy || s.ProbeFailures != 1 {
+		t.Fatalf("after a healthy pass: healthy=%v probe_failures=%d, want healthy and 1", s.Healthy, s.ProbeFailures)
 	}
 }

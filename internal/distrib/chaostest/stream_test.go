@@ -18,7 +18,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -86,11 +85,9 @@ func newStreamTier(t *testing.T, replicas int) *streamTier {
 	t.Cleanup(func() { srv.Close() })
 	st.serve = httptest.NewServer(srv.Handler())
 	t.Cleanup(st.serve.Close)
-	rt, err := router.New(router.Config{
-		Replicas:      []string{st.serve.URL},
-		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-	})
+	// The router's probe loop runs its first pass and then waits on a
+	// clock no test advances.
+	rt, err := router.New(router.Config{Replicas: []string{st.serve.URL}, Clock: NewFakeClock()})
 	if err != nil {
 		t.Fatal(err)
 	}

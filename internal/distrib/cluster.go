@@ -153,7 +153,7 @@ type Cluster struct {
 	searchHC *http.Client
 	statsHC  *http.Client
 	clock    overload.Clock
-	prober   Prober
+	probes   *overload.Prober[*backend]
 
 	// Immutable after Connect: the collection identity and statistics.
 	nSegs      int
@@ -273,12 +273,12 @@ func ConnectTopology(ctx context.Context, desc *TopologyDesc, opts ...Option) (*
 		searchHC: &searchHC,
 		statsHC:  &statsHC,
 		clock:    cfg.clock,
-		prober:   cfg.prober,
 		known:    make(map[string]*backend),
 		stop:     make(chan struct{}),
 	}
-	if c.prober == nil {
-		c.prober = c.defaultProbe
+	prober := cfg.prober
+	if prober == nil {
+		prober = c.defaultProbe
 	}
 	c.budget = overload.NewRetryBudget(cfg.retryRatio, cfg.retryBurst)
 
@@ -306,9 +306,26 @@ func ConnectTopology(ctx context.Context, desc *TopologyDesc, opts ...Option) (*
 		c.segDocs[ord] = asm.segStats[ord].NumDocs
 	}
 	c.adopt(asm.st)
-	if cfg.probeInterval > 0 {
-		go c.probeLoop()
-	}
+	c.probes = overload.NewProber(overload.ProbeConfig[*backend]{
+		Targets: func() []*backend { return c.state.Load().backends },
+		Check:   func(ctx context.Context, b *backend) error { return prober(ctx, b.addr) },
+		Verdict: func(b *backend, err error, _ int) {
+			if err != nil {
+				b.probeFails.Add(1)
+			} else {
+				// A live probe arms an open breaker's probation trial, so
+				// a recovered replica re-enters rotation one probe interval
+				// after it comes back.
+				b.brk.onProbeSuccess()
+			}
+			b.healthy.Store(err == nil)
+		},
+		Clock:     cfg.clock,
+		First:     cfg.probeInterval,
+		Interval:  cfg.probeInterval,
+		Timeout:   searchHC.Timeout,
+		Threshold: 1,
+	})
 	return c, nil
 }
 
@@ -578,45 +595,15 @@ func (c *Cluster) defaultProbe(ctx context.Context, addr string) error {
 
 // ProbeNow health-probes every replica of the current topology once,
 // concurrently, and updates the routing health bits. The probe loop
-// calls this on its tick; tests call it directly for deterministic
-// health transitions.
-func (c *Cluster) ProbeNow(ctx context.Context) {
-	st := c.state.Load()
-	var wg sync.WaitGroup
-	for _, b := range st.backends {
-		wg.Add(1)
-		go func(b *backend) {
-			defer wg.Done()
-			err := c.prober(ctx, b.addr)
-			if err != nil {
-				b.probeFails.Add(1)
-			} else {
-				// A live probe arms an open breaker's probation trial, so
-				// a recovered replica re-enters rotation one probe interval
-				// after it comes back.
-				b.brk.onProbeSuccess()
-			}
-			b.healthy.Store(err == nil)
-		}(b)
-	}
-	wg.Wait()
-}
-
-func (c *Cluster) probeLoop() {
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-c.clock.After(c.cfg.probeInterval):
-		}
-		c.ProbeNow(context.Background())
-	}
-}
+// runs the same pass on its tick; tests call it directly for
+// deterministic health transitions.
+func (c *Cluster) ProbeNow(ctx context.Context) { c.probes.ProbeNow(ctx) }
 
 // Close stops the background probe loop and any topology file
 // watcher. In-flight RPCs are unaffected. Safe to call more than once.
 func (c *Cluster) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
+	c.probes.Close()
 }
 
 // NumSegments returns the topology's total segment count.

@@ -5,8 +5,9 @@
 // the scoring kernel's per-block loop observe that budget without real
 // timers (the Clock is injectable, so chaostest can expire a budget by
 // advancing a fake clock instead of sleeping), the AIMD Admission gate,
-// the RetryBudget token bucket, and Gate — the one server-side entry
-// every tier runs its gated work through.
+// the RetryBudget token bucket, Gate — the one server-side entry
+// every tier runs its gated work through — and Prober, the one health
+// probe loop the router and the merge tier's segment cluster share.
 //
 // The header value is *relative*: integer milliseconds of budget left,
 // re-minted (decremented) at every hop. Relative budgets are immune to

@@ -11,11 +11,13 @@
 // Requests without a session (create, shot metadata, listings) round-
 // robin over the healthy replicas.
 //
-// A background probe loop polls each replica's /api/v1/healthz:
-// FailThreshold consecutive probe failures take a replica out of
-// rotation, a "draining" answer routes new work away while the
-// replica flushes, and a later healthy probe brings it back. The
-// proxy itself also reacts mid-request: a connection failure or a
+// Health probing runs on overload.Prober, the same loop the merge
+// tier's segment cluster uses, ticking on Config.Clock: a first pass
+// right away, then one every ProbeInterval, each probe a GET of
+// /api/v1/healthz bounded by 2s. Three consecutive failures take a
+// replica out of rotation, a "draining" answer routes new work away
+// while the replica flushes, and one healthy probe brings it back.
+// The proxy itself also reacts mid-request: a connection failure or a
 // draining 503 re-routes the request to the session's next-best
 // replica, so one kill -TERM loses zero queries.
 //
@@ -48,7 +50,6 @@ import (
 	"net/url"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -61,8 +62,6 @@ import (
 // Defaults for Config knobs left zero.
 const (
 	DefaultProbeInterval = time.Second
-	DefaultProbeTimeout  = 2 * time.Second
-	DefaultFailThreshold = 3
 	// DefaultSearchDeadline is the X-IVR-Deadline budget minted for
 	// search requests that arrive without one: the whole-query wall
 	// budget the lower tiers decrement and enforce.
@@ -70,6 +69,10 @@ const (
 	// maxBufferedBody bounds how much request body the proxy buffers
 	// for replay on re-route (event batches are small; this is generous).
 	maxBufferedBody = 8 << 20
+	// probeTimeout bounds one health probe, and probeThreshold
+	// consecutive probe failures take a replica out of rotation.
+	probeTimeout   = 2 * time.Second
+	probeThreshold = 3
 )
 
 // Config parameterises a Router.
@@ -79,12 +82,6 @@ type Config struct {
 	Replicas []string
 	// ProbeInterval is the health poll cadence (0 = 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (0 = 2s).
-	ProbeTimeout time.Duration
-	// FailThreshold is how many consecutive probe failures take a
-	// replica out of rotation (0 = 3). One mid-request connection
-	// failure takes it out immediately regardless.
-	FailThreshold int
 	// Client overrides the proxy/probe HTTP client (tests).
 	Client *http.Client
 	// Logger receives re-route and health-transition logs (nil = discard).
@@ -100,7 +97,8 @@ type Config struct {
 	// negative = mint nothing). Inbound budgets from SDK clients are
 	// honoured as-is — decremented across the router hop, never raised.
 	SearchDeadline time.Duration
-	// Clock drives deadline-budget expiry (tests; nil = real time).
+	// Clock drives deadline-budget expiry and the probe loop (tests;
+	// nil = real time).
 	Clock overload.Clock
 }
 
@@ -111,8 +109,6 @@ type replica struct {
 
 	healthy  atomic.Bool
 	draining atomic.Bool
-	// probeFails is touched only by the probe loop.
-	probeFails int
 
 	requests atomic.Int64
 	errors   atomic.Int64
@@ -135,17 +131,13 @@ type Router struct {
 	// gate runs the deadline protocol on proxied requests and counts the
 	// ones the router itself answered deadline_exceeded (budget spent
 	// before or between forwards). The router sheds nothing.
-	gate *overload.Gate
-
-	closeOnce sync.Once
-	closed    chan struct{}
-	probeWG   sync.WaitGroup
+	gate   *overload.Gate
+	probes *overload.Prober[*replica]
 }
 
 // New builds a router and starts its health probe loop. All replicas
-// start healthy (optimistic: the first probe round corrects this
-// within ProbeInterval, and a mid-request failure corrects it
-// immediately).
+// start healthy (optimistic: the probe loop's first pass starts at
+// once, and a mid-request failure corrects it immediately).
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("router: no replicas")
@@ -153,13 +145,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = DefaultProbeInterval
 	}
-	if cfg.ProbeTimeout == 0 {
-		cfg.ProbeTimeout = DefaultProbeTimeout
-	}
-	if cfg.FailThreshold == 0 {
-		cfg.FailThreshold = DefaultFailThreshold
-	}
-	if cfg.ProbeInterval < 0 || cfg.ProbeTimeout < 0 || cfg.FailThreshold < 0 {
+	if cfg.ProbeInterval < 0 {
 		return nil, fmt.Errorf("router: negative config value")
 	}
 	switch {
@@ -168,7 +154,7 @@ func New(cfg Config) (*Router, error) {
 	case cfg.SearchDeadline < 0:
 		cfg.SearchDeadline = 0 // minting disabled; inbound budgets still enforced
 	}
-	rt := &Router{client: cfg.Client, log: cfg.Logger, cfg: cfg, closed: make(chan struct{}), start: time.Now()}
+	rt := &Router{client: cfg.Client, log: cfg.Logger, cfg: cfg, start: time.Now()}
 	rt.tracer = trace.NewCollector(trace.CollectorConfig{
 		Tier:          trace.TierRouter,
 		RingSize:      cfg.TraceRing,
@@ -216,15 +202,27 @@ func New(cfg Config) (*Router, error) {
 		rep.healthy.Store(true)
 		rt.replicas = append(rt.replicas, rep)
 	}
-	rt.probeWG.Add(1)
-	go rt.probeLoop()
+	rt.probes = overload.NewProber(overload.ProbeConfig[*replica]{
+		Targets: func() []*replica { return rt.replicas },
+		Check:   rt.checkHealth,
+		Verdict: func(rep *replica, err error, fails int) {
+			if err == nil && rep.healthy.CompareAndSwap(false, true) {
+				rt.log.Info("replica back", "replica", rep.name)
+			} else if err != nil && rep.healthy.CompareAndSwap(true, false) {
+				rt.log.Warn("replica down (probes failed)", "replica", rep.name, "fails", fails, "err", err)
+			}
+		},
+		Clock:     cfg.Clock,
+		Interval:  cfg.ProbeInterval,
+		Timeout:   probeTimeout,
+		Threshold: probeThreshold,
+	})
 	return rt, nil
 }
 
 // Close stops the probe loop. Idempotent.
 func (rt *Router) Close() error {
-	rt.closeOnce.Do(func() { close(rt.closed) })
-	rt.probeWG.Wait()
+	rt.probes.Close()
 	return nil
 }
 
@@ -565,69 +563,30 @@ func flushingCopy(w http.ResponseWriter, body io.Reader) {
 
 // --- health probing ---
 
-// probeLoop polls every replica until Close.
-func (rt *Router) probeLoop() {
-	defer rt.probeWG.Done()
-	rt.probeAll() // settle real health before the first interval
-	t := time.NewTicker(rt.cfg.ProbeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-rt.closed:
-			return
-		case <-t.C:
-			rt.probeAll()
-		}
-	}
-}
-
-func (rt *Router) probeAll() {
-	var wg sync.WaitGroup
-	for _, rep := range rt.replicas {
-		wg.Add(1)
-		go func(rep *replica) {
-			defer wg.Done()
-			rt.probeOne(rep)
-		}(rep)
-	}
-	wg.Wait()
-}
-
-func (rt *Router) probeOne(rep *replica) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-	defer cancel()
+// checkHealth GETs one replica's /api/v1/healthz: anything but a 200
+// is a failed probe, and a 200 also carries the replica's drain state.
+func (rt *Router) checkHealth(ctx context.Context, rep *replica) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.name+"/api/v1/healthz", nil)
 	if err != nil {
-		return
+		return err
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rep.probeFails++
-		if rep.probeFails >= rt.cfg.FailThreshold && rep.healthy.CompareAndSwap(true, false) {
-			rt.log.Warn("replica down (probes failed)", "replica", rep.name, "fails", rep.probeFails)
-		}
-		return
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		rep.probeFails++
-		if rep.probeFails >= rt.cfg.FailThreshold && rep.healthy.CompareAndSwap(true, false) {
-			rt.log.Warn("replica down (healthz non-200)", "replica", rep.name, "status", resp.StatusCode)
-		}
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return
+		return fmt.Errorf("healthz status %d", resp.StatusCode)
 	}
 	var hz struct {
 		Draining bool `json:"draining"`
 	}
 	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hz)
-	rep.probeFails = 0
-	if rep.healthy.CompareAndSwap(false, true) {
-		rt.log.Info("replica back", "replica", rep.name)
-	}
 	if hz.Draining != rep.draining.Swap(hz.Draining) {
 		rt.log.Info("replica drain state", "replica", rep.name, "draining", hz.Draining)
 	}
+	return nil
 }
 
 // --- router-owned endpoints ---

@@ -130,8 +130,8 @@ func TestRouterConfigValidation(t *testing.T) {
 	if _, err := New(Config{Replicas: []string{"http://a:1", "http://a:1"}}); err == nil {
 		t.Fatal("duplicate replica accepted")
 	}
-	if _, err := New(Config{Replicas: []string{"http://a:1"}, FailThreshold: -1}); err == nil {
-		t.Fatal("negative threshold accepted")
+	if _, err := New(Config{Replicas: []string{"http://a:1"}, ProbeInterval: -time.Second}); err == nil {
+		t.Fatal("negative probe interval accepted")
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/distrib/chaostest"
 	"repro/internal/ilog"
 	"repro/internal/router"
 	"repro/internal/sessionstore"
@@ -68,11 +69,10 @@ func newTier(t *testing.T, n int) *tier {
 		tr.reps = append(tr.reps, rep)
 		urls[i] = ts.URL
 	}
-	rt, err := router.New(router.Config{
-		Replicas:      urls,
-		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-	})
+	// The probe loop runs its first pass and then waits on a clock no
+	// test advances: health changes come from the proxy's own
+	// mid-request reactions, never from a real-time ticker.
+	rt, err := router.New(router.Config{Replicas: urls, Clock: chaostest.NewFakeClock()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/distrib"
+	"repro/internal/distrib/chaostest"
 	"repro/internal/router"
 	"repro/internal/synth"
 	"repro/internal/trace"
@@ -30,6 +31,26 @@ type threeTier struct {
 	serve   *webapi.Server
 	segTS   []*httptest.Server
 	queries []string
+	// routerDone, serveDone and segDone receive one value per search
+	// each tier has finished serving (see finished).
+	routerDone, serveDone, segDone chan struct{}
+}
+
+// finished wraps a tier's handler so that done receives a value once
+// the handler has returned from a request for path, and so once the
+// tier's trace middleware has recorded that request in its ring. A
+// client can read a relayed body to its end before that happens, so
+// a test waits on done before it looks at a ring.
+func finished(h http.Handler, path string, done chan<- struct{}) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if r.URL.Path == path {
+			select {
+			case done <- struct{}{}:
+			default: // nobody is counting this many searches
+			}
+		}
+	})
 }
 
 func newThreeTier(t *testing.T) *threeTier {
@@ -42,7 +63,11 @@ func newThreeTier(t *testing.T) *threeTier {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt := &threeTier{}
+	tt := &threeTier{
+		routerDone: make(chan struct{}, 8),
+		serveDone:  make(chan struct{}, 8),
+		segDone:    make(chan struct{}, 8),
+	}
 	for _, topic := range arch.Truth.SearchTopics {
 		tt.queries = append(tt.queries, topic.Query)
 	}
@@ -59,7 +84,7 @@ func newThreeTier(t *testing.T) *threeTier {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(seg.Handler())
+		ts := httptest.NewServer(finished(seg.Handler(), distrib.SearchPath, tt.segDone))
 		t.Cleanup(ts.Close)
 		tt.segTS = append(tt.segTS, ts)
 		segURLs = append(segURLs, ts.URL)
@@ -82,19 +107,15 @@ func newThreeTier(t *testing.T) *threeTier {
 	}
 	t.Cleanup(func() { srv.Close() })
 	tt.serve = srv
-	serveTS := httptest.NewServer(srv.Handler())
+	serveTS := httptest.NewServer(finished(srv.Handler(), "/api/v1/search", tt.serveDone))
 	t.Cleanup(serveTS.Close)
-	rt, err := router.New(router.Config{
-		Replicas:      []string{serveTS.URL},
-		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-	})
+	rt, err := router.New(router.Config{Replicas: []string{serveTS.URL}, Clock: chaostest.NewFakeClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rt.Close() })
 	tt.rt = rt
-	tt.front = httptest.NewServer(rt)
+	tt.front = httptest.NewServer(finished(rt, "/api/v1/search", tt.routerDone))
 	t.Cleanup(tt.front.Close)
 	return tt
 }
@@ -203,7 +224,13 @@ func TestEndToEndTracePropagation(t *testing.T) {
 
 	// One correlation ID across all three tiers: the router's and
 	// serve replica's rings hold the same ID the client saw, and each
-	// segment server's debug endpoint reports it too.
+	// segment server's debug endpoint reports it too. Every tier must
+	// have finished the request before its ring is read.
+	<-tt.routerDone
+	<-tt.serveDone
+	for range tt.segTS {
+		<-tt.segDone
+	}
 	if entries := tt.rt.Tracer().Traces(); len(entries) == 0 || entries[0].ID != page.RequestID {
 		t.Errorf("router ring does not lead with request ID %s", page.RequestID)
 	}
