@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/collection"
 	"repro/internal/index"
@@ -10,17 +12,18 @@ import (
 	"repro/internal/text"
 )
 
-// shotDocument converts one shot to an index document: its ASR
-// transcript plus its story title in the text field (titles are what
-// interfaces display, so they are searchable), and its detector
-// concepts in the concept field with confidence encoded as integer
-// weight (conf 0.73 -> tf 7), so concept retrieval ranks by detector
-// confidence.
-func shotDocument(coll *collection.Collection, an *text.Analyzer, s *collection.Shot) *index.Document {
-	doc := index.NewDocument(string(s.ID))
-	doc.AddTerms(index.FieldText, an.Terms(s.Transcript)...)
+// shotDocument fills doc with one shot: its ASR transcript plus its
+// story title in the text field (titles are what interfaces display,
+// so they are searchable), and its detector concepts in the concept
+// field with confidence encoded as integer weight (conf 0.73 -> tf 7),
+// so concept retrieval ranks by detector confidence. memo is the
+// calling goroutine's text.Analyzer.Scan memo.
+func shotDocument(doc *index.Document, coll *collection.Collection, an *text.Analyzer, memo map[string]string, s *collection.Shot) *index.Document {
+	doc.Reset(string(s.ID))
+	addText := func(term string) { doc.AddTerms(index.FieldText, term) }
+	an.Scan(s.Transcript, memo, addText)
 	if story := coll.Story(s.StoryID); story != nil {
-		doc.AddTerms(index.FieldText, an.Terms(story.Title)...)
+		an.Scan(story.Title, memo, addText)
 	}
 	for _, cs := range s.Concepts {
 		w := int(math.Round(cs.Confidence * 10))
@@ -32,48 +35,74 @@ func shotDocument(coll *collection.Collection, an *text.Analyzer, s *collection.
 	return doc
 }
 
-// indexCollection feeds every shot of coll into add (a Builder or
-// ShardedBuilder ingest function).
-func indexCollection(coll *collection.Collection, an *text.Analyzer, add func(*index.Document) error) error {
+// buildSegments indexes coll into n segments, dealing shots
+// round-robin in collection order: segment k holds the shots whose
+// position i satisfies i mod n = k, in order. One goroutine builds each
+// segment with its own Builder, reused Document and Scan memo, so the
+// segments come out byte-identical to a sequential round-robin build.
+func buildSegments(coll *collection.Collection, an *text.Analyzer, n int) ([]*index.Index, error) {
 	if coll == nil {
-		return fmt.Errorf("core: nil collection")
+		return nil, fmt.Errorf("core: nil collection")
 	}
-	var buildErr error
-	coll.Shots(func(s *collection.Shot) bool {
-		if err := add(shotDocument(coll, an, s)); err != nil {
-			buildErr = fmt.Errorf("core: indexing shot %s: %w", s.ID, err)
-			return false
-		}
-		return true
-	})
-	return buildErr
-}
-
-// BuildIndex indexes a collection into a single monolithic index.
-func BuildIndex(coll *collection.Collection, an *text.Analyzer) (*index.Index, error) {
 	if an == nil {
 		an = text.NewAnalyzer()
 	}
-	b := index.NewBuilder()
-	if err := indexCollection(coll, an, b.AddDocument); err != nil {
+	if n < 1 {
+		n = 1
+	}
+	shots := make([]*collection.Shot, 0, coll.NumShots())
+	coll.Shots(func(s *collection.Shot) bool {
+		shots = append(shots, s)
+		return true
+	})
+	segs := make([]*index.Index, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for k := 0; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := index.NewBuilder()
+			doc := index.NewDocument("")
+			memo := make(map[string]string)
+			for i := k; i < len(shots); i += n {
+				if err := b.AddDocument(shotDocument(doc, coll, an, memo, shots[i])); err != nil {
+					errs[k] = fmt.Errorf("core: indexing shot %s: %w", shots[i].ID, err)
+					return
+				}
+			}
+			segs[k] = b.Build()
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	return b.Build(), nil
+	return segs, nil
+}
+
+// BuildIndex indexes a collection into a single monolithic index: the
+// one-segment case of BuildShardedIndex, byte for byte.
+func BuildIndex(coll *collection.Collection, an *text.Analyzer) (*index.Index, error) {
+	segs, err := buildSegments(coll, an, 1)
+	if err != nil {
+		return nil, err
+	}
+	return segs[0], nil
 }
 
 // BuildShardedIndex indexes a collection into `segments` self-contained
 // index segments (round-robin by shot order), the layout the parallel
-// search executor fans out over. Global document IDs and ranking
-// output match BuildIndex exactly.
+// search executor fans out over. It builds the segments concurrently,
+// one goroutine per segment; the bytes of every segment, and so global
+// document IDs and ranking output, are the same as a sequential build
+// and match BuildIndex exactly.
 func BuildShardedIndex(coll *collection.Collection, an *text.Analyzer, segments int) (*index.Sharded, error) {
-	if an == nil {
-		an = text.NewAnalyzer()
-	}
-	b := index.NewShardedBuilder(segments)
-	if err := indexCollection(coll, an, b.AddDocument); err != nil {
+	segs, err := buildSegments(coll, an, segments)
+	if err != nil {
 		return nil, err
 	}
-	return b.Build()
+	return index.NewSharded(segs)
 }
 
 // NewSystemFromCollection is the one-call constructor: analyse, index

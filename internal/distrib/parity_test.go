@@ -44,9 +44,21 @@ func buildCorpus(t testing.TB, seed int64, docs, segments int) (*index.Index, *i
 	}
 	sb := index.NewBuilder()
 	gen(sb.AddDocument)
-	shb := index.NewShardedBuilder(segments)
-	gen(shb.AddDocument)
-	sh, err := shb.Build()
+	// The sharded build deals the same stream round-robin.
+	builders := make([]*index.Builder, segments)
+	for i := range builders {
+		builders[i] = index.NewBuilder()
+	}
+	next := 0
+	gen(func(d *index.Document) error {
+		next++
+		return builders[(next-1)%segments].AddDocument(d)
+	})
+	segs := make([]*index.Index, segments)
+	for i, b := range builders {
+		segs[i] = b.Build()
+	}
+	sh, err := index.NewSharded(segs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,10 +61,13 @@ type SegmentServer struct {
 	hosted     map[int]*index.Index
 	ordinals   []int
 	sourceHash uint64
-	statsBody  []byte // precomputed: the index is immutable
-	metrics    *metrics.Registry
-	tracer     *trace.Collector
-	handler    http.Handler
+	// collHash and statsBody are computed once: the index is
+	// immutable, and CollectionHash walks every external ID and term.
+	collHash  uint64
+	statsBody []byte
+	metrics   *metrics.Registry
+	tracer    *trace.Collector
+	handler   http.Handler
 	// gate runs the overload protocol on search RPCs: X-IVR-Deadline
 	// budgets, admission control, and the deadline_exceeded ledger.
 	gate *overload.Gate
@@ -102,6 +105,7 @@ func NewSegmentServer(cfg ServerConfig) (*SegmentServer, error) {
 		s.ordinals = append(s.ordinals, ord)
 	}
 	sort.Ints(s.ordinals)
+	s.collHash = CollectionHash(s.sh)
 	body, err := json.Marshal(s.buildStats())
 	if err != nil {
 		return nil, fmt.Errorf("distrib: encode stats: %w", err)
@@ -175,7 +179,7 @@ func (s *SegmentServer) routes() http.Handler {
 func (s *SegmentServer) buildStats() StatsResponse {
 	resp := StatsResponse{
 		Segments:       s.sh.NumSegments(),
-		CollectionHash: CollectionHash(s.sh),
+		CollectionHash: s.collHash,
 		SourceHash:     s.sourceHash,
 	}
 	for _, ord := range s.ordinals {
@@ -221,7 +225,7 @@ func (s *SegmentServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Hosted         []int  `json:"hosted"`
 		CollectionHash uint64 `json:"collection_hash"`
 		SourceHash     uint64 `json:"source_hash,omitempty"`
-	}{"ok", s.sh.NumSegments(), s.Hosted(), CollectionHash(s.sh), s.sourceHash})
+	}{"ok", s.sh.NumSegments(), s.Hosted(), s.collHash, s.sourceHash})
 }
 
 func (s *SegmentServer) handleMetrics(w http.ResponseWriter, r *http.Request) {

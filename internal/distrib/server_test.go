@@ -259,6 +259,38 @@ func TestRPCHealthz(t *testing.T) {
 	}
 }
 
+// TestRPCHealthzAndStatsShareCollectionHash: both endpoints serve the
+// hash NewSegmentServer computed once, and it is CollectionHash of the
+// hosted build.
+func TestRPCHealthzAndStatsShareCollectionHash(t *testing.T) {
+	ts, _, sh := newRPCServer(t, 3)
+	get := func(path string) uint64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			CollectionHash uint64 `json:"collection_hash"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out.CollectionHash
+	}
+	want := CollectionHash(sh)
+	if want == 0 {
+		t.Fatal("CollectionHash is zero")
+	}
+	if got := get(HealthPath); got != want {
+		t.Errorf("healthz collection_hash = %d, want %d", got, want)
+	}
+	if got := get(StatsPath); got != want {
+		t.Errorf("stats collection_hash = %d, want %d", got, want)
+	}
+}
+
 // TestRPCRouteLabelNormalization is the regression test for catch-all
 // label normalization on the RPC mux: arbitrary request paths must
 // collapse onto the fixed "* /rpc/" and "* /" labels instead of

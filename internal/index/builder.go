@@ -8,8 +8,8 @@ import (
 
 // Document is the unit handed to the Builder: an external identifier
 // plus per-field term counts. Construct with NewDocument and the Add*
-// methods; a Document may be reused after AddDocument returns because
-// the builder copies what it needs.
+// methods; a Document may be reused (see Reset) after AddDocument
+// returns because the builder copies what it needs.
 type Document struct {
 	ext    string
 	counts [numFields]map[string]int
@@ -18,6 +18,17 @@ type Document struct {
 // NewDocument starts an empty document with the given external ID.
 func NewDocument(ext string) *Document {
 	return &Document{ext: ext}
+}
+
+// Reset empties the document and gives it a new external ID, keeping
+// its per-field maps so a bulk indexer can reuse one Document for every
+// document it builds.
+func (d *Document) Reset(ext string) *Document {
+	d.ext = ext
+	for _, m := range d.counts {
+		clear(m)
+	}
+	return d
 }
 
 // AddTerms increments the count of each given term by one in field f.
@@ -69,6 +80,7 @@ type Builder struct {
 	extIDs   []string
 	ext2id   map[string]DocID
 	built    bool
+	terms    []string // AddDocument's sort scratch, reused per document
 }
 
 // NewBuilder returns an empty Builder.
@@ -101,11 +113,12 @@ func (b *Builder) AddDocument(d *Document) error {
 	for f := Field(0); f < numFields; f++ {
 		var fieldLen uint64
 		// Deterministic ingest order: sort the doc's terms.
-		terms := make([]string, 0, len(d.counts[f]))
+		terms := b.terms[:0]
 		for t := range d.counts[f] {
 			terms = append(terms, t)
 		}
 		sort.Strings(terms)
+		b.terms = terms
 		for _, t := range terms {
 			tf := d.counts[f][t]
 			b.postings[f][t] = append(b.postings[f][t], posting{doc: id, tf: uint32(tf)})
@@ -115,68 +128,6 @@ func (b *Builder) AddDocument(d *Document) error {
 		b.totalLen[f] += fieldLen
 	}
 	return nil
-}
-
-// ShardedBuilder accumulates documents into N segment builders,
-// assigning documents round-robin in insertion order, and freezes them
-// into a Sharded index. Like Builder it is single-goroutine; the
-// produced Sharded is concurrent-safe.
-type ShardedBuilder struct {
-	builders []*Builder
-	extSeen  map[string]struct{}
-	next     int
-}
-
-// NewShardedBuilder returns an empty builder over n segments (n < 1 is
-// clamped to 1).
-func NewShardedBuilder(n int) *ShardedBuilder {
-	if n < 1 {
-		n = 1
-	}
-	sb := &ShardedBuilder{
-		builders: make([]*Builder, n),
-		extSeen:  make(map[string]struct{}),
-	}
-	for i := range sb.builders {
-		sb.builders[i] = NewBuilder()
-	}
-	return sb
-}
-
-// NumDocs reports how many documents have been added so far.
-func (sb *ShardedBuilder) NumDocs() int { return sb.next }
-
-// AddDocument ingests one document into the next segment round-robin.
-// External IDs must be unique across the whole sharded index, not just
-// within a segment.
-func (sb *ShardedBuilder) AddDocument(d *Document) error {
-	if d.ext == "" {
-		return fmt.Errorf("index: document with empty external id")
-	}
-	if _, dup := sb.extSeen[d.ext]; dup {
-		return fmt.Errorf("index: duplicate external id %q", d.ext)
-	}
-	if err := sb.builders[sb.next%len(sb.builders)].AddDocument(d); err != nil {
-		return err
-	}
-	sb.extSeen[d.ext] = struct{}{}
-	sb.next++
-	return nil
-}
-
-// Build freezes the builder into an immutable Sharded index. The
-// builder must not be used afterwards. AddDocument already enforced
-// round-robin assignment and cross-segment external-ID uniqueness, so
-// Build assembles the Sharded directly instead of paying NewSharded's
-// full re-validation scan.
-func (sb *ShardedBuilder) Build() (*Sharded, error) {
-	segs := make([]*Index, len(sb.builders))
-	total := 0
-	for i, b := range sb.builders {
-		segs[i] = b.Build()
-		total += segs[i].NumDocs()
-	}
-	return &Sharded{segs: segs, numDocs: total}, nil
 }
 
 // Build freezes the builder into an immutable Index. The builder must

@@ -475,3 +475,34 @@ func BenchmarkPostingsScan(b *testing.B) {
 		}
 	}
 }
+
+// TestDocumentResetReuse: one Document reused through Reset builds the
+// same bytes as a fresh Document per call.
+func TestDocumentResetReuse(t *testing.T) {
+	fresh, reused := NewBuilder(), NewBuilder()
+	doc := NewDocument("")
+	for _, d := range randomDocs(9, 40) {
+		if err := fresh.AddDocument(d); err != nil {
+			t.Fatal(err)
+		}
+		doc.Reset(d.ext)
+		for f, m := range d.counts {
+			for term, n := range m {
+				doc.SetTermCount(Field(f), term, n)
+			}
+		}
+		if err := reused.AddDocument(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want, got bytes.Buffer
+	if _, err := fresh.Build().WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reused.Build().WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("index built from a reused Document differs from one built from fresh Documents")
+	}
+}

@@ -12,7 +12,7 @@ import "fmt"
 // monolithic index.
 //
 // Documents are assigned to segments round-robin in insertion order
-// (ShardedBuilder enforces this), so the global DocID of the j-th
+// (NewSharded checks the resulting segment sizes), so the global DocID of the j-th
 // document of segment i is j*NumSegments+i: exactly the document's
 // insertion position. A Sharded index built from the same document
 // stream as a single Index therefore agrees with it on every global

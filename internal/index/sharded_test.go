@@ -25,29 +25,43 @@ func randomDocs(seed int64, n int) []*Document {
 	return docs
 }
 
+// buildRoundRobin deals docs round-robin over n Builders and
+// assembles the segments with NewSharded.
+func buildRoundRobin(t *testing.T, docs []*Document, n int) *Sharded {
+	t.Helper()
+	builders := make([]*Builder, n)
+	for i := range builders {
+		builders[i] = NewBuilder()
+	}
+	for i, d := range docs {
+		if err := builders[i%n].AddDocument(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := make([]*Index, n)
+	for i, b := range builders {
+		segs[i] = b.Build()
+	}
+	sh, err := NewSharded(segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
 // buildBoth builds a single index and an n-segment sharded index from
 // the same document stream.
 func buildBoth(t *testing.T, seed int64, docs, n int) (*Index, *Sharded) {
 	t.Helper()
 	single := NewBuilder()
-	sharded := NewShardedBuilder(n)
 	for _, d := range randomDocs(seed, docs) {
 		if err := single.AddDocument(d); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Documents are reusable after AddDocument; regenerate anyway so
-	// neither builder can observe the other's ingestion.
-	for _, d := range randomDocs(seed, docs) {
-		if err := sharded.AddDocument(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sh, err := sharded.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return single.Build(), sh
+	// neither build can observe the other's ingestion.
+	return single.Build(), buildRoundRobin(t, randomDocs(seed, docs), n)
 }
 
 func TestShardedGlobalStatsMatchSingle(t *testing.T) {
@@ -123,22 +137,6 @@ func TestShardedSegmentsSelfContained(t *testing.T) {
 	}
 }
 
-func TestShardedBuilderRejectsDuplicatesAcrossSegments(t *testing.T) {
-	sb := NewShardedBuilder(2)
-	if err := sb.AddDocument(NewDocument("dup").AddTerms(FieldText, "a")); err != nil {
-		t.Fatal(err)
-	}
-	// The duplicate would land in the *other* segment, where a plain
-	// per-segment builder could not catch it.
-	err := sb.AddDocument(NewDocument("dup").AddTerms(FieldText, "b"))
-	if err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate across segments accepted (err=%v)", err)
-	}
-	if err := sb.AddDocument(NewDocument("").AddTerms(FieldText, "c")); err == nil {
-		t.Fatal("empty external id accepted")
-	}
-}
-
 func TestNewShardedValidation(t *testing.T) {
 	if _, err := NewSharded(nil); err == nil {
 		t.Error("empty segment list accepted")
@@ -156,7 +154,9 @@ func TestNewShardedValidation(t *testing.T) {
 	if _, err := NewSharded([]*Index{b.Build(), NewBuilder().Build()}); err == nil {
 		t.Error("unbalanced segments accepted")
 	}
-	// Duplicate external ids across hand-assembled segments.
+	// Duplicate external ids across segments: round-robin puts the two
+	// "a" documents in different segments, where neither per-segment
+	// Builder can catch the duplicate.
 	b1 := NewBuilder()
 	if err := b1.AddDocument(NewDocument("a").AddTerms(FieldText, "x")); err != nil {
 		t.Fatal(err)
@@ -165,7 +165,8 @@ func TestNewShardedValidation(t *testing.T) {
 	if err := b2.AddDocument(NewDocument("a").AddTerms(FieldText, "y")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSharded([]*Index{b1.Build(), b2.Build()}); err == nil {
-		t.Error("duplicate external ids across segments accepted")
+	_, err := NewSharded([]*Index{b1.Build(), b2.Build()})
+	if err == nil || !strings.Contains(err.Error(), "more than one segment") {
+		t.Errorf("duplicate external ids across segments accepted (err=%v)", err)
 	}
 }

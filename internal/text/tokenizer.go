@@ -4,11 +4,19 @@
 // The pipeline is deliberately self-contained (stdlib only) and
 // deterministic: the same input always yields the same token stream, a
 // property the simulation and experiment harnesses rely on.
+//
+// Analyzer.Terms and Analyze serve queries. Analyzer.Scan serves bulk
+// indexing: it yields the same terms through a callback and takes a
+// caller-owned memo from raw word to analysed term, so each distinct
+// word is stopped and stemmed once and repeated words cost no
+// allocation. A memo belongs to one goroutine and one Analyzer and is
+// never shared; the package keeps no cache of its own, because query
+// text is untrusted and a shared memo would grow with it.
 package text
 
 import (
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single lexical unit produced by the Tokenizer. Position is
@@ -38,46 +46,91 @@ const DefaultMaxTokenLen = 64
 
 // Tokenize returns the token stream for the input text.
 func (t Tokenizer) Tokenize(text string) []Token {
-	maxLen := t.MaxTokenLen
-	if maxLen <= 0 {
-		maxLen = DefaultMaxTokenLen
-	}
 	var (
 		tokens []Token
-		sb     strings.Builder
-		start  = -1
-		pos    = 0
+		arr    [DefaultMaxTokenLen]byte
+		buf    = arr[:0]
 	)
-	flush := func(end int) {
-		if sb.Len() == 0 {
-			start = -1
-			return
+	sc := scanner{text: text, maxLen: t.maxLen()}
+	for {
+		raw, offset, ok := sc.next(buf[:0])
+		if !ok {
+			return tokens
 		}
-		term := sb.String()
-		sb.Reset()
-		if len(term) > maxLen {
-			term = term[:maxLen]
-		}
-		tokens = append(tokens, Token{Term: term, Position: pos, Offset: start})
-		pos++
-		start = -1
-		_ = end
+		buf = raw
+		tokens = append(tokens, Token{Term: string(raw), Position: len(tokens), Offset: offset})
 	}
-	for i, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			if start < 0 {
-				start = i
+}
+
+func (t Tokenizer) maxLen() int {
+	if t.MaxTokenLen <= 0 {
+		return DefaultMaxTokenLen
+	}
+	return t.MaxTokenLen
+}
+
+// scanner is the one implementation of the tokenisation rules; both
+// Tokenize and Analyzer.Scan walk their input with it.
+type scanner struct {
+	text   string
+	maxLen int
+	i      int // byte position of the next rune to read
+}
+
+// next appends the next raw token — lower-cased, apostrophe/hyphen
+// joined, truncated to maxLen bytes — to buf and returns it with the
+// byte offset of its first letter or digit; ok is false at the end of
+// the text. ASCII is lower-cased byte by byte; other runes go through
+// unicode. The result aliases buf, so a caller passing a stack buffer
+// of sufficient size scans without allocating.
+func (s *scanner) next(buf []byte) (raw []byte, offset int, ok bool) {
+	offset = -1
+	for s.i < len(s.text) {
+		c, w := s.text[s.i], 1
+		var r rune
+		var letter bool
+		if c < utf8.RuneSelf {
+			r = rune(c)
+			letter = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
 			}
-			sb.WriteRune(unicode.ToLower(r))
-		case (r == '\'' || r == '-') && sb.Len() > 0:
-			// Join pieces across intra-word apostrophes/hyphens.
-		default:
-			flush(i)
+		} else {
+			r, w = utf8.DecodeRuneInString(s.text[s.i:])
+			letter = unicode.IsLetter(r) || unicode.IsDigit(r)
 		}
+		switch {
+		case letter:
+			if offset < 0 {
+				offset = s.i
+			}
+			if len(buf) < s.maxLen {
+				if c < utf8.RuneSelf {
+					buf = append(buf, c)
+				} else {
+					buf = utf8.AppendRune(buf, unicode.ToLower(r))
+				}
+			}
+		case (r == '\'' || r == '-') && offset >= 0:
+			// Join pieces across intra-word apostrophes/hyphens.
+		case offset >= 0:
+			s.i += w
+			return truncate(buf, s.maxLen), offset, true
+		}
+		s.i += w
 	}
-	flush(len(text))
-	return tokens
+	if offset >= 0 {
+		return truncate(buf, s.maxLen), offset, true
+	}
+	return buf, 0, false
+}
+
+// truncate cuts a token to maxLen bytes, even inside a multi-byte rune.
+func truncate(buf []byte, maxLen int) []byte {
+	if len(buf) > maxLen {
+		return buf[:maxLen]
+	}
+	return buf
 }
 
 // Terms is a convenience wrapper returning only the token terms.
