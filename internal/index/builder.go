@@ -80,7 +80,6 @@ type Builder struct {
 	extIDs   []string
 	ext2id   map[string]DocID
 	built    bool
-	terms    []string // AddDocument's sort scratch, reused per document
 }
 
 // NewBuilder returns an empty Builder.
@@ -112,15 +111,10 @@ func (b *Builder) AddDocument(d *Document) error {
 	b.extIDs = append(b.extIDs, d.ext)
 	for f := Field(0); f < numFields; f++ {
 		var fieldLen uint64
-		// Deterministic ingest order: sort the doc's terms.
-		terms := b.terms[:0]
-		for t := range d.counts[f] {
-			terms = append(terms, t)
-		}
-		sort.Strings(terms)
-		b.terms = terms
-		for _, t := range terms {
-			tf := d.counts[f][t]
+		// Map order is random, but each term's postings stay in DocID
+		// order whatever order the doc's terms arrive in, and Build
+		// sorts the vocabulary: the index bytes do not depend on it.
+		for t, tf := range d.counts[f] {
 			b.postings[f][t] = append(b.postings[f][t], posting{doc: id, tf: uint32(tf)})
 			fieldLen += uint64(tf)
 		}

@@ -80,57 +80,45 @@ type scanner struct {
 // next appends the next raw token — lower-cased, apostrophe/hyphen
 // joined, truncated to maxLen bytes — to buf and returns it with the
 // byte offset of its first letter or digit; ok is false at the end of
-// the text. ASCII is lower-cased byte by byte; other runes go through
-// unicode. The result aliases buf, so a caller passing a stack buffer
-// of sufficient size scans without allocating.
+// the text. ASCII is classified and lower-cased byte by byte; other
+// runes go through unicode. The result aliases buf, so a caller passing
+// a stack buffer of sufficient size scans without allocating.
 func (s *scanner) next(buf []byte) (raw []byte, offset int, ok bool) {
 	offset = -1
 	for s.i < len(s.text) {
-		c, w := s.text[s.i], 1
-		var r rune
-		var letter bool
+		c, r, w := s.text[s.i], rune(s.text[s.i]), 1
+		var word bool
 		if c < utf8.RuneSelf {
-			r = rune(c)
-			letter = 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
 			if 'A' <= c && c <= 'Z' {
 				c += 'a' - 'A'
 			}
+			word = 'a' <= c && c <= 'z' || '0' <= c && c <= '9'
 		} else {
 			r, w = utf8.DecodeRuneInString(s.text[s.i:])
-			letter = unicode.IsLetter(r) || unicode.IsDigit(r)
+			word = unicode.IsLetter(r) || unicode.IsDigit(r)
 		}
+		s.i += w
 		switch {
-		case letter:
+		case word:
 			if offset < 0 {
-				offset = s.i
+				offset = s.i - w
 			}
-			if len(buf) < s.maxLen {
-				if c < utf8.RuneSelf {
-					buf = append(buf, c)
-				} else {
-					buf = utf8.AppendRune(buf, unicode.ToLower(r))
-				}
+			// Appending stops at maxLen; the cut below drops the tail
+			// of a multi-byte rune that straddles it.
+			switch {
+			case len(buf) >= s.maxLen:
+			case c < utf8.RuneSelf:
+				buf = append(buf, c)
+			default:
+				buf = utf8.AppendRune(buf, unicode.ToLower(r))
 			}
 		case (r == '\'' || r == '-') && offset >= 0:
 			// Join pieces across intra-word apostrophes/hyphens.
 		case offset >= 0:
-			s.i += w
-			return truncate(buf, s.maxLen), offset, true
+			return buf[:min(len(buf), s.maxLen)], offset, true
 		}
-		s.i += w
 	}
-	if offset >= 0 {
-		return truncate(buf, s.maxLen), offset, true
-	}
-	return buf, 0, false
-}
-
-// truncate cuts a token to maxLen bytes, even inside a multi-byte rune.
-func truncate(buf []byte, maxLen int) []byte {
-	if len(buf) > maxLen {
-		return buf[:maxLen]
-	}
-	return buf
+	return buf[:min(len(buf), s.maxLen)], offset, offset >= 0
 }
 
 // Terms is a convenience wrapper returning only the token terms.
