@@ -137,6 +137,31 @@ func TestShardedSegmentsSelfContained(t *testing.T) {
 	}
 }
 
+// The sharded build deals documents round-robin over per-segment
+// Builders and assembles them with NewSharded; external IDs must be
+// unique across the whole sharded index, not just within a segment.
+func TestShardedBuilderRejectsDuplicatesAcrossSegments(t *testing.T) {
+	builders := []*Builder{NewBuilder(), NewBuilder()}
+	docs := []*Document{
+		NewDocument("dup").AddTerms(FieldText, "a"),
+		// The duplicate lands in the *other* segment, where the
+		// per-segment builder cannot catch it.
+		NewDocument("dup").AddTerms(FieldText, "b"),
+	}
+	for i, d := range docs {
+		if err := builders[i%len(builders)].AddDocument(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := NewSharded([]*Index{builders[0].Build(), builders[1].Build()})
+	if err == nil || !strings.Contains(err.Error(), "more than one segment") {
+		t.Fatalf("duplicate across segments accepted (err=%v)", err)
+	}
+	if err := NewBuilder().AddDocument(NewDocument("").AddTerms(FieldText, "c")); err == nil {
+		t.Fatal("empty external id accepted")
+	}
+}
+
 func TestNewShardedValidation(t *testing.T) {
 	if _, err := NewSharded(nil); err == nil {
 		t.Error("empty segment list accepted")
@@ -154,9 +179,7 @@ func TestNewShardedValidation(t *testing.T) {
 	if _, err := NewSharded([]*Index{b.Build(), NewBuilder().Build()}); err == nil {
 		t.Error("unbalanced segments accepted")
 	}
-	// Duplicate external ids across segments: round-robin puts the two
-	// "a" documents in different segments, where neither per-segment
-	// Builder can catch the duplicate.
+	// Duplicate external ids across hand-assembled segments.
 	b1 := NewBuilder()
 	if err := b1.AddDocument(NewDocument("a").AddTerms(FieldText, "x")); err != nil {
 		t.Fatal(err)
@@ -165,8 +188,7 @@ func TestNewShardedValidation(t *testing.T) {
 	if err := b2.AddDocument(NewDocument("a").AddTerms(FieldText, "y")); err != nil {
 		t.Fatal(err)
 	}
-	_, err := NewSharded([]*Index{b1.Build(), b2.Build()})
-	if err == nil || !strings.Contains(err.Error(), "more than one segment") {
-		t.Errorf("duplicate external ids across segments accepted (err=%v)", err)
+	if _, err := NewSharded([]*Index{b1.Build(), b2.Build()}); err == nil {
+		t.Error("duplicate external ids across segments accepted")
 	}
 }
