@@ -3,12 +3,15 @@ package loadgen_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/ilog"
 	"repro/internal/loadgen"
 	"repro/internal/simulation"
 	"repro/internal/synth"
@@ -16,6 +19,9 @@ import (
 	"repro/internal/ui"
 	"repro/internal/webapi"
 )
+
+// stackConfig is the adaptive system every test server runs.
+var stackConfig = core.Config{UseImplicit: true, UseProfile: true}
 
 // newStack builds a real server over a tiny archive plus an SDK
 // client: loadgen's integration surface is the genuine HTTP stack.
@@ -25,7 +31,7 @@ func newStack(t *testing.T) (*client.Client, *synth.Archive, *webapi.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.NewSystemFromCollection(arch.Collection, core.Config{UseImplicit: true, UseProfile: true})
+	sys, err := core.NewSystemFromCollection(arch.Collection, stackConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +236,88 @@ func TestRunStudyRemote(t *testing.T) {
 	if live := srv.Manager().Stats().Live; live != 0 {
 		t.Errorf("server live sessions after study = %d, want 0", live)
 	}
+}
+
+// TestRemoteStudyMatchesInProcess pins the served study to the
+// simulated one: the same archive, system configuration, pairs, seed
+// and iteration count, run in process by simulation.RunStudyPairs and
+// over HTTP by concurrent loadgen workers, must log the same events
+// (every field but the server-assigned session ID, timestamps
+// included) and score the same rankings.
+func TestRemoteStudyMatchesInProcess(t *testing.T) {
+	c, arch, _ := newStack(t)
+	sys, err := core.NewSystemFromCollection(arch.Collection, stackConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := simulation.AllPairs(simulation.MakeUsers(3), arch.Truth.SearchTopics[:3])
+	const iterations, seed = 3, 2008
+	local, err := simulation.RunStudyPairs(arch, sys, ui.Desktop(), pairs, iterations, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := loadgen.RunStudy(context.Background(), loadgen.StudyConfig{
+		Client: c, Workers: 4, Iterations: iterations, Qrels: arch.Truth.Qrels, Seed: seed,
+	}, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote.Failed != 0 || remote.Aborted != 0 {
+		t.Fatalf("remote study: %d failed, %d aborted\n%s", remote.Failed, remote.Aborted, remote.Report)
+	}
+	if len(remote.Sessions) != len(local.Sessions) {
+		t.Fatalf("sessions: %d remote, %d local", len(remote.Sessions), len(local.Sessions))
+	}
+	for i, l := range local.Sessions {
+		r := remote.Sessions[i]
+		if j := firstDivergence(l.Events, r.Events); j >= 0 {
+			t.Errorf("pair %d (topic %d, %s): first diverging event %d of %d local / %d remote:\n local  %s\n remote %s",
+				i, l.TopicID, l.UserID, j, len(l.Events), len(r.Events), eventAt(l.Events, j), eventAt(r.Events, j))
+			continue
+		}
+		if !reflect.DeepEqual(l.PerIteration, r.PerIteration) {
+			t.Errorf("pair %d: per-iteration metrics differ:\n local  %+v\n remote %+v", i, l.PerIteration, r.PerIteration)
+		}
+		if l.Final != r.Final || l.DistinctSeen != r.DistinctSeen {
+			t.Errorf("pair %d: final %+v / seen %d local, %+v / %d remote", i, l.Final, l.DistinctSeen, r.Final, r.DistinctSeen)
+		}
+		if !reflect.DeepEqual(l.FinalRanking, r.FinalRanking) {
+			t.Errorf("pair %d: final rankings differ", i)
+		}
+	}
+	if local.MeanFirst != remote.MeanFirst || local.MeanFinal != remote.MeanFinal {
+		t.Errorf("MAP first/final: %.6f/%.6f local, %.6f/%.6f remote",
+			local.MeanFirst.AP, local.MeanFinal.AP, remote.MeanFirst.AP, remote.MeanFinal.AP)
+	}
+}
+
+// firstDivergence returns the index of the first event that differs
+// in any field but SessionID, or -1 when the logs are identical.
+func firstDivergence(a, b []ilog.Event) int {
+	for i := range max(len(a), len(b)) {
+		if i >= len(a) || i >= len(b) {
+			return i
+		}
+		x, y := a[i], b[i]
+		x.SessionID, y.SessionID = "", ""
+		if !x.Time.Equal(y.Time) {
+			return i
+		}
+		x.Time, y.Time = time.Time{}, time.Time{}
+		if x != y {
+			return i
+		}
+	}
+	return -1
+}
+
+func eventAt(events []ilog.Event, i int) string {
+	if i >= len(events) {
+		return "(none)"
+	}
+	e := events[i]
+	return fmt.Sprintf("%s step=%d rank=%d shot=%q seconds=%.3f value=%d t=%s",
+		e.Action, e.Step, e.Rank, e.ShotID, e.Seconds, e.Value, e.Time.Format(time.RFC3339))
 }
 
 // TestStudyReproducible: same seed, same pairs -> identical event
