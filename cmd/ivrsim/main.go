@@ -10,11 +10,12 @@
 //	ivrsim -server http://localhost:8080         # same study, remotely over /api/v1
 //
 // With -server the study runs against a live ivrserve instance
-// through the SDK (internal/loadgen): sessions execute concurrently
-// over HTTP, rankings are evaluated from the fetched pages, and a
-// per-endpoint latency report accompanies the retrieval metrics. The
-// server must serve the same archive (-seed/-full) for the topic
-// ground truth to apply; -preset is the server's choice in that mode.
+// through the SDK (internal/loadgen): the same session loop, with
+// sessions executing concurrently over HTTP, and a per-endpoint
+// latency report after the retrieval metrics. A server started with
+// the same -seed/-full and -preset and with -depth 100 (the in-process
+// ranking depth) reproduces the local study event for event; -preset
+// is the server's choice in that mode.
 package main
 
 import (
@@ -69,39 +70,53 @@ func main() {
 	if *topics > 0 && *topics < len(topicSet) {
 		topicSet = topicSet[:*topics]
 	}
+	pairs := simulation.AllPairs(simulation.MakeUsers(*users), topicSet)
+	var (
+		study  *simulation.StudyResult
+		rep    *loadgen.Report
+		system = *preset
+	)
 	if *server != "" {
-		runRemote(*server, *workers, arch, iface, topicSet, *users, *iterations, *seed,
-			*out, *runOut, *qrelsOut)
-		return
-	}
-	cfg, err := core.Preset(*preset)
-	if err != nil {
-		fail("%v", err)
-	}
-	sys, err := core.NewSystemFromCollection(arch.Collection, cfg)
-	if err != nil {
-		fail("system: %v", err)
-	}
-	study, err := simulation.RunStudy(arch, sys, iface,
-		simulation.MakeUsers(*users), topicSet, *iterations, *seed)
-	if err != nil {
-		fail("study: %v", err)
+		study, rep = runRemote(*server, *workers, arch, iface, pairs, *iterations, *seed)
+		system = fmt.Sprintf("%s (%d workers)", *server, *workers)
+	} else {
+		cfg, err := core.Preset(*preset)
+		if err != nil {
+			fail("%v", err)
+		}
+		sys, err := core.NewSystemFromCollection(arch.Collection, cfg)
+		if err != nil {
+			fail("system: %v", err)
+		}
+		if study, err = simulation.RunStudyPairs(arch, sys, iface, pairs, *iterations, *seed); err != nil {
+			fail("study: %v", err)
+		}
 	}
 	if err := ilog.SaveFile(*out, study.Events); err != nil {
 		fail("save: %v", err)
 	}
 	if *runOut != "" {
-		writeRunFile(*runOut, study.ToRun(*preset))
+		tag := *preset
+		if rep != nil {
+			tag = "remote"
+		}
+		writeRunFile(*runOut, study.ToRun(tag))
 	}
 	if *qrelsOut != "" {
 		writeQrelsFile(*qrelsOut, study.ToQrels(arch.Truth.Qrels))
 	}
 	imp, exp, q := ilog.MeanEventsPerSession(ilog.AnalyzeSessions(study.Events))
 	fmt.Printf("study complete: %d sessions, %d events -> %s\n", len(study.Sessions), len(study.Events), *out)
-	fmt.Printf("  system:     %s on %s\n", *preset, iface.Name)
+	fmt.Printf("  system:     %s on %s\n", system, iface.Name)
 	fmt.Printf("  per session: %.1f implicit, %.1f explicit, %.1f queries\n", imp, exp, q)
 	fmt.Printf("  MAP first iteration: %.3f   final: %.3f\n", study.MeanFirst.AP, study.MeanFinal.AP)
 	fmt.Printf("  mean distinct shots examined: %.1f\n", study.MeanDistinctSeen)
+	if rep != nil {
+		fmt.Print(rep)
+		if rep.SessionsFailed > 0 {
+			fail("%d sessions failed", rep.SessionsFailed)
+		}
+	}
 }
 
 // writeRunFile / writeQrelsFile export TREC files for both study
@@ -136,12 +151,10 @@ func writeQrelsFile(path string, qs eval.QrelSet) {
 	fmt.Printf("  qrels file: %s\n", path)
 }
 
-// runRemote replays the same (user, topic) study through the SDK
-// against a live server — the paper's simulated methodology as a
-// closed-loop HTTP workload.
+// runRemote runs the study through the SDK against a live server —
+// the paper's simulated methodology as a closed-loop HTTP workload.
 func runRemote(server string, workers int, arch *synth.Archive, iface *ui.Interface,
-	topicSet []*synth.SearchTopic, users, iterations int, seed int64,
-	out, runOut, qrelsOut string) {
+	pairs []simulation.StudyPair, iterations int, seed int64) (*simulation.StudyResult, *loadgen.Report) {
 
 	c, err := client.New(server, client.WithTimeout(30*time.Second), client.WithUserAgent("ivrsim/1"))
 	if err != nil {
@@ -152,37 +165,18 @@ func runRemote(server string, workers int, arch *synth.Archive, iface *ui.Interf
 	if _, err := c.Healthz(ctx); err != nil {
 		fail("server %s not healthy: %v", server, err)
 	}
-	pairs := simulation.AllPairs(simulation.MakeUsers(users), topicSet)
-	res, err := loadgen.RunStudy(ctx, loadgen.StudyConfig{
+	study, rep, err := loadgen.RunStudy(ctx, loadgen.StudyConfig{
 		Client:     c,
 		Workers:    workers,
 		Iterations: iterations,
 		Iface:      iface,
-		Qrels:      arch.Truth.Qrels,
+		Archive:    arch,
 		Seed:       seed,
 	}, pairs)
 	if err != nil {
 		fail("remote study: %v", err)
 	}
-	if err := ilog.SaveFile(out, res.Events); err != nil {
-		fail("save: %v", err)
-	}
-	if runOut != "" {
-		writeRunFile(runOut, res.ToRun("remote"))
-	}
-	if qrelsOut != "" {
-		writeQrelsFile(qrelsOut, res.ToQrels(arch.Truth.Qrels))
-	}
-	imp, exp, q := ilog.MeanEventsPerSession(ilog.AnalyzeSessions(res.Events))
-	fmt.Printf("remote study complete: %d sessions (%d failed, %d aborted), %d events -> %s\n",
-		len(res.Sessions), res.Failed, res.Aborted, len(res.Events), out)
-	fmt.Printf("  server:     %s on %s (%d workers)\n", server, iface.Name, workers)
-	fmt.Printf("  per session: %.1f implicit, %.1f explicit, %.1f queries\n", imp, exp, q)
-	fmt.Printf("  MAP first iteration: %.3f   final: %.3f\n", res.MeanFirst.AP, res.MeanFinal.AP)
-	fmt.Print(res.Report)
-	if res.Failed > 0 {
-		fail("%d sessions failed", res.Failed)
-	}
+	return study, rep
 }
 
 func fail(format string, args ...any) {

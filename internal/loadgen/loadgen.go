@@ -1,10 +1,9 @@
 // Package loadgen drives simulated user studies against a remote
 // retrieval server over HTTP — the scale test of the /api/v1 contract.
-// Where internal/simulation runs stereotype users against an
-// in-process core.System, loadgen replays the same per-iteration
-// behaviour policy (simulation.Policy) through the typed
-// internal/client SDK: a worker pool of N virtual users, each running
-// the create-session → search → send-events → shot-view loop.
+// It runs internal/simulation's session loop (simulation.RunLoop) over
+// the typed internal/client SDK: a worker pool of N virtual users,
+// each creating a session, running the loop's search → send-events
+// (→ shot-view) iterations through an SDK Transport, and deleting it.
 //
 // Two pacing disciplines are supported:
 //
@@ -210,15 +209,14 @@ func New(cfg Config) (*Driver, error) {
 	return &Driver{cfg: cfg}, nil
 }
 
-// worker is one virtual user: its own behaviour PRNG, policy, and
-// telemetry shard — nothing shared on the hot path.
+// worker is one virtual user: its own behaviour PRNG and telemetry
+// shard — nothing shared on the hot path.
 type worker struct {
 	id  int
 	cfg *Config
 	// c is this worker's endpoint (Config.Clients round-robin by
 	// worker, so one virtual user keeps talking to one place).
 	c   *client.Client
-	pol simulation.Policy
 	rng *rand.Rand
 	col *shardCollector
 	// traceSeq is the pool-wide search counter backing TraceSample:
@@ -267,18 +265,12 @@ func runPool(ctx context.Context, cfg *Config, work func(context.Context, *worke
 		traceSeq = new(atomic.Int64)
 	}
 	for i := range workers {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
 		shards[i] = newShardCollector()
 		workers[i] = &worker{
-			id:  i,
-			cfg: cfg,
-			c:   cfg.Clients[i%len(cfg.Clients)],
-			pol: simulation.Policy{
-				Stereotype: cfg.Stereotypes[i%len(cfg.Stereotypes)],
-				Iface:      cfg.Iface,
-				Rand:       rng,
-			},
-			rng:      rng,
+			id:       i,
+			cfg:      cfg,
+			c:        cfg.Clients[i%len(cfg.Clients)],
+			rng:      rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
 			col:      shards[i],
 			traceSeq: traceSeq,
 		}
@@ -361,212 +353,145 @@ func runPool(ctx context.Context, cfg *Config, work func(context.Context, *worke
 }
 
 // runSession drives one generic-traffic session: a random query from
-// the pool, behaviour from the worker's stereotype.
+// the pool, behaviour from the worker's stereotype and stream, events
+// stamped from a simulated clock that starts now.
 func (w *worker) runSession(ctx context.Context) {
 	cfg := w.cfg
 	q := cfg.Queries[w.rng.Intn(len(cfg.Queries))]
-	w.driveSession(ctx, &sessionSpec{
-		req:     client.CreateSessionRequest{UserID: fmt.Sprintf("vu%03d", w.id)},
-		pol:     w.pol,
-		topicID: q.TopicID,
-		short:   q.Text,
-		verbose: q.Verbose,
-		relevant: func(shotID string) bool {
-			if q.Relevant != nil {
-				return q.Relevant[shotID]
-			}
-			return w.rng.Float64() < cfg.RelevanceRate
-		},
+	task := simulation.Task{
+		TopicID: q.TopicID, Query: q.Text, Verbose: q.Verbose, Iterations: cfg.Iterations,
+		Relevant: func(string) bool { return w.rng.Float64() < cfg.RelevanceRate },
+	}
+	if q.Relevant != nil {
+		task.Relevant = func(shotID string) bool { return q.Relevant[shotID] }
+	}
+	pol := simulation.Policy{Stereotype: cfg.Stereotypes[w.id%len(cfg.Stereotypes)], Iface: cfg.Iface, Rand: w.rng}
+	userID := fmt.Sprintf("vu%03d", w.id)
+	w.driveSession(ctx, client.CreateSessionRequest{UserID: userID}, func(t simulation.Transport, sessionID string) error {
+		clock := time.Now()
+		res := &simulation.SessionResult{SessionID: sessionID, UserID: userID, TopicID: q.TopicID, Interface: cfg.Iface.Name}
+		return simulation.RunLoop(t, &pol, &clock, res, task)
 	})
 }
 
-// sessionSpec parameterises one session for driveSession: the study
-// path and the generic traffic path differ only in where queries,
-// relevance, and result recording come from.
-type sessionSpec struct {
-	req     client.CreateSessionRequest
-	pol     simulation.Policy
-	topicID int
-	// short/verbose are the session's query and its reformulation
-	// target.
-	short, verbose string
-	// relevant reports the user's (ground-truth or sampled) relevance
-	// belief for a result.
-	relevant func(shotID string) bool
-	// keepEvents retains the emitted event log on the outcome.
-	keepEvents bool
-	// onPage observes each iteration's fetched page (the study path
-	// evaluates rankings here).
-	onPage func(it int, page *client.SearchPage)
-}
+// driveSession runs one virtual-user session — create, run (the
+// session loop over the returned session's Transport), delete —
+// timing every SDK call into the worker's telemetry shard. It counts
+// the session as ok, failed, or aborted (a failure once ctx is done:
+// run deadline, Ctrl-C) and returns its first error.
+func (w *worker) driveSession(ctx context.Context, req client.CreateSessionRequest,
+	run func(t simulation.Transport, sessionID string) error) error {
 
-// sessionOutcome reports one driven session.
-type sessionOutcome struct {
-	sessionID    string
-	events       []ilog.Event
-	distinctSeen int
-	// err is the first failure; aborted marks failures caused by
-	// context cancellation (run deadline, Ctrl-C) rather than the
-	// server.
-	err     error
-	aborted bool
-}
-
-// driveSession runs one full virtual-user session — create → N ×
-// (search → examine → events [→ shot views]) → delete — timing every
-// SDK call into the worker's telemetry shard.
-func (w *worker) driveSession(ctx context.Context, spec *sessionSpec) *sessionOutcome {
-	cfg := w.cfg
-	out := &sessionOutcome{}
-	fail := func(err error) *sessionOutcome {
-		out.err = err
-		out.aborted = ctx.Err() != nil
-		if out.aborted {
-			w.col.sessionsAborted++
-		} else {
-			w.col.sessionsFailed++
-		}
-		return out
-	}
+	var sessionID string
 	err := w.col.timed(EndpointCreateSession, func() error {
 		var err error
-		out.sessionID, err = w.c.CreateSession(ctx, spec.req)
+		sessionID, err = w.c.CreateSession(ctx, req)
 		return err
 	})
-	if err != nil {
-		return fail(err)
-	}
-	defer func() {
+	if err == nil {
+		err = run(&remote{ctx: ctx, w: w, sessionID: sessionID}, sessionID)
 		// Always end the session server-side, even after a failure or
 		// cancellation: a leaked session would skew the server's live
 		// gauge. The delete runs on a detached context so the run
 		// deadline expiring does not turn cleanup into a failure.
 		dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
-		defer cancel()
 		delErr := w.col.timed(EndpointDeleteSession, func() error {
-			return w.c.DeleteSession(dctx, out.sessionID)
+			return w.c.DeleteSession(dctx, sessionID)
 		})
-		switch {
-		case out.err != nil:
-		case delErr != nil:
-			out.err = delErr
-			w.col.sessionsFailed++
-		default:
-			w.col.sessions++
+		cancel()
+		if err == nil {
+			err = delErr
 		}
-	}()
-
-	budget := cfg.Iface.SessionBudget
-	seen := map[string]bool{}
-	queryText := spec.short
-	for it := 0; it < cfg.Iterations; it++ {
-		if ctx.Err() != nil {
-			return fail(ctx.Err())
-		}
-		queryText = spec.pol.Reformulate(it, queryText, spec.short, spec.verbose)
-		qCost := cfg.Iface.QueryCost(len(queryText))
-		if budget < qCost {
-			break
-		}
-		budget -= qCost
-
-		sampled := w.traceSampled()
-		var page *client.SearchPage
-		err := w.col.timed(EndpointSearch, func() error {
-			var err error
-			page, err = w.c.Search(ctx, client.SearchRequest{
-				SessionID: out.sessionID, Query: queryText, Limit: cfg.PageLimit,
-				Trace: sampled,
-			})
-			return err
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if sampled && page.Trace != nil {
-			w.col.addTrace(TraceSample{
-				Query:      queryText,
-				RequestID:  page.RequestID,
-				DurationMS: float64(page.Trace.DurUS) / 1e3,
-				Root:       page.Trace,
-			})
-		}
-		w.col.iterations++
-		if page.Partial {
-			w.col.partials++
-		}
-		if spec.onPage != nil {
-			spec.onPage(it, page)
-		}
-
-		// Replay the stereotype's examination of the page, batching
-		// the resulting events (the query event leads the batch, as
-		// in the in-process simulator's log). Views stop at the
-		// stereotype's patience — the policy never looks further.
-		events := []ilog.Event{w.stamp(ilog.Event{
-			Action: ilog.ActionQuery, Query: queryText, Step: it, Rank: -1,
-		}, spec, out.sessionID)}
-		var clicked []string
-		emit := func(e ilog.Event) error {
-			if e.Action == ilog.ActionClickKeyframe {
-				clicked = append(clicked, e.ShotID)
-			}
-			events = append(events, w.stamp(e, spec, out.sessionID))
-			return nil
-		}
-		views := make([]simulation.ResultView, 0, min(len(page.Hits), spec.pol.Stereotype.Patience))
-		for i := range page.Hits {
-			if i >= spec.pol.Stereotype.Patience {
-				break
-			}
-			h := &page.Hits[i]
-			views = append(views, simulation.ResultView{
-				ShotID: h.ShotID, Relevant: spec.relevant(h.ShotID), Seconds: h.Seconds,
-			})
-		}
-		if err := spec.pol.Examine(views, it, seen, &budget, emit); err != nil {
-			return fail(err)
-		}
-		err = w.col.timed(EndpointEvents, func() error {
-			_, err := w.c.SendEvents(ctx, out.sessionID, events)
-			return err
-		})
-		if err != nil {
-			return fail(err)
-		}
-		w.col.events += int64(len(events))
-		if spec.keepEvents {
-			out.events = append(out.events, events...)
-		}
-
-		if cfg.FetchShots {
-			for _, shotID := range clicked {
-				err := w.col.timed(EndpointShot, func() error {
-					_, err := w.c.Shot(ctx, shotID)
-					return err
-				})
-				if err != nil {
-					return fail(err)
-				}
-			}
-		}
-		w.think(ctx)
 	}
-	out.distinctSeen = len(seen)
-	return out
+	switch {
+	case err == nil:
+		w.col.sessions++
+	case ctx.Err() != nil:
+		w.col.sessionsAborted++
+	default:
+		w.col.sessionsFailed++
+	}
+	return err
 }
 
-// stamp fills the envelope fields the in-process simulator's emit
-// stamps: real wall-clock time, session, user, interface, topic. The
-// server overrides the session ID on ingest; stamping it anyway keeps
-// locally saved logs valid.
-func (w *worker) stamp(e ilog.Event, spec *sessionSpec, sessionID string) ilog.Event {
-	e.Time = time.Now()
-	e.SessionID = sessionID
-	e.UserID = spec.req.UserID
-	e.Interface = w.cfg.Iface.Name
-	e.TopicID = spec.topicID
-	return e
+// remote is the session loop's Transport over the SDK: one
+// server-side session, with every call timed into the worker's shard.
+type remote struct {
+	ctx       context.Context
+	w         *worker
+	sessionID string
+}
+
+// Search fetches one page of Config.PageLimit hits, optionally
+// trace-sampled.
+func (r *remote) Search(query string, depth int) ([]string, []float64, error) {
+	w := r.w
+	if err := r.ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	sampled := w.traceSampled()
+	var page *client.SearchPage
+	err := w.col.timed(EndpointSearch, func() error {
+		var err error
+		page, err = w.c.Search(r.ctx, client.SearchRequest{
+			SessionID: r.sessionID, Query: query, Limit: w.cfg.PageLimit, Trace: sampled,
+		})
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if sampled && page.Trace != nil {
+		w.col.addTrace(TraceSample{
+			Query:      query,
+			RequestID:  page.RequestID,
+			DurationMS: float64(page.Trace.DurUS) / 1e3,
+			Root:       page.Trace,
+		})
+	}
+	w.col.iterations++
+	if page.Partial {
+		w.col.partials++
+	}
+	ids := make([]string, len(page.Hits))
+	seconds := make([]float64, min(depth, len(page.Hits)))
+	for i := range page.Hits {
+		ids[i] = page.Hits[i].ShotID
+		if i < len(seconds) {
+			seconds[i] = page.Hits[i].Seconds
+		}
+	}
+	return ids, seconds, nil
+}
+
+// Deliver posts the iteration's events in one batch, fetches every
+// clicked shot when Config.FetchShots is set, then thinks.
+func (r *remote) Deliver(events []ilog.Event) error {
+	w := r.w
+	err := w.col.timed(EndpointEvents, func() error {
+		_, err := w.c.SendEvents(r.ctx, r.sessionID, events)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	w.col.events += int64(len(events))
+	if w.cfg.FetchShots {
+		for _, e := range events {
+			if e.Action != ilog.ActionClickKeyframe {
+				continue
+			}
+			err := w.col.timed(EndpointShot, func() error {
+				_, err := w.c.Shot(r.ctx, e.ShotID)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+		}
+	}
+	w.think(r.ctx)
+	return nil
 }
 
 // think pauses between iterations under closed-loop pacing, jittered

@@ -196,19 +196,18 @@ func TestRunStudyRemote(t *testing.T) {
 		topics = topics[:4]
 	}
 	pairs := simulation.AllPairs(users, topics)
-	res, err := loadgen.RunStudy(context.Background(), loadgen.StudyConfig{
+	res, rep, err := loadgen.RunStudy(context.Background(), loadgen.StudyConfig{
 		Client:     c,
 		Workers:    6,
 		Iterations: 2,
-		PageLimit:  50,
-		Qrels:      arch.Truth.Qrels,
+		Archive:    arch,
 		Seed:       2008,
 	}, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failed != 0 {
-		t.Fatalf("failed sessions: %d\n%s", res.Failed, res.Report)
+	if rep.SessionsFailed != 0 {
+		t.Fatalf("failed sessions: %d\n%s", rep.SessionsFailed, rep)
 	}
 	if len(res.Sessions) != len(pairs) {
 		t.Fatalf("sessions = %d, want %d", len(res.Sessions), len(pairs))
@@ -229,8 +228,8 @@ func TestRunStudyRemote(t *testing.T) {
 	if res.MeanFinal.AP < 0 || res.MeanFinal.AP > 1 {
 		t.Errorf("mean final AP = %v", res.MeanFinal.AP)
 	}
-	if res.Report.Sessions != int64(len(pairs)) {
-		t.Errorf("report sessions = %d, want %d", res.Report.Sessions, len(pairs))
+	if rep.Sessions != int64(len(pairs)) {
+		t.Errorf("report sessions = %d, want %d", rep.Sessions, len(pairs))
 	}
 	// All sessions were deleted server-side.
 	if live := srv.Manager().Stats().Live; live != 0 {
@@ -256,14 +255,17 @@ func TestRemoteStudyMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := loadgen.RunStudy(context.Background(), loadgen.StudyConfig{
-		Client: c, Workers: 4, Iterations: iterations, Qrels: arch.Truth.Qrels, Seed: seed,
+	remote, rep, err := loadgen.RunStudy(context.Background(), loadgen.StudyConfig{
+		Client: c, Workers: 4, Iterations: iterations, Archive: arch, Seed: seed,
 	}, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remote.Failed != 0 || remote.Aborted != 0 {
-		t.Fatalf("remote study: %d failed, %d aborted\n%s", remote.Failed, remote.Aborted, remote.Report)
+	if rep.SessionsFailed != 0 || rep.SessionsAborted != 0 {
+		t.Fatalf("remote study: %d failed, %d aborted\n%s", rep.SessionsFailed, rep.SessionsAborted, rep)
+	}
+	if len(local.Sessions) != len(pairs) || len(local.Events) == 0 {
+		t.Fatalf("in-process study: %d sessions, %d events", len(local.Sessions), len(local.Events))
 	}
 	if len(remote.Sessions) != len(local.Sessions) {
 		t.Fatalf("sessions: %d remote, %d local", len(remote.Sessions), len(local.Sessions))
@@ -278,8 +280,9 @@ func TestRemoteStudyMatchesInProcess(t *testing.T) {
 		if !reflect.DeepEqual(l.PerIteration, r.PerIteration) {
 			t.Errorf("pair %d: per-iteration metrics differ:\n local  %+v\n remote %+v", i, l.PerIteration, r.PerIteration)
 		}
-		if l.Final != r.Final || l.DistinctSeen != r.DistinctSeen {
-			t.Errorf("pair %d: final %+v / seen %d local, %+v / %d remote", i, l.Final, l.DistinctSeen, r.Final, r.DistinctSeen)
+		if l.Final != r.Final || l.DistinctSeen != r.DistinctSeen || l.EffortSpent != r.EffortSpent {
+			t.Errorf("pair %d: final %+v / seen %d / effort %v local, %+v / %d / %v remote",
+				i, l.Final, l.DistinctSeen, l.EffortSpent, r.Final, r.DistinctSeen, r.EffortSpent)
 		}
 		if !reflect.DeepEqual(l.FinalRanking, r.FinalRanking) {
 			t.Errorf("pair %d: final rankings differ", i)
@@ -288,6 +291,10 @@ func TestRemoteStudyMatchesInProcess(t *testing.T) {
 	if local.MeanFirst != remote.MeanFirst || local.MeanFinal != remote.MeanFinal {
 		t.Errorf("MAP first/final: %.6f/%.6f local, %.6f/%.6f remote",
 			local.MeanFirst.AP, local.MeanFinal.AP, remote.MeanFirst.AP, remote.MeanFinal.AP)
+	}
+	if !reflect.DeepEqual(local.PerTopicAP, remote.PerTopicAP) || local.MeanDistinctSeen != remote.MeanDistinctSeen {
+		t.Errorf("per-topic AP %v / mean seen %v local, %v / %v remote",
+			local.PerTopicAP, local.MeanDistinctSeen, remote.PerTopicAP, remote.MeanDistinctSeen)
 	}
 }
 
@@ -327,16 +334,15 @@ func TestStudyReproducible(t *testing.T) {
 	users := simulation.MakeUsers(2)
 	topics := arch.Truth.SearchTopics[:2]
 	pairs := simulation.AllPairs(users, topics)
-	run := func() *loadgen.StudyResult {
-		res, err := loadgen.RunStudy(context.Background(), loadgen.StudyConfig{
-			Client: c, Workers: 4, Iterations: 2, PageLimit: 20,
-			Qrels: arch.Truth.Qrels, Seed: 99,
+	run := func() *simulation.StudyResult {
+		res, rep, err := loadgen.RunStudy(context.Background(), loadgen.StudyConfig{
+			Client: c, Workers: 4, Iterations: 2, Archive: arch, Seed: 99,
 		}, pairs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Failed != 0 {
-			t.Fatalf("failed sessions: %d", res.Failed)
+		if rep.SessionsFailed != 0 {
+			t.Fatalf("failed sessions: %d", rep.SessionsFailed)
 		}
 		return res
 	}

@@ -3,21 +3,17 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"repro/internal/client"
-	"repro/internal/eval"
-	"repro/internal/ilog"
+	"repro/internal/search"
 	"repro/internal/simulation"
 	"repro/internal/synth"
 	"repro/internal/ui"
 )
 
-// StudyConfig parameterises a remote user study: the same
-// (user, topic) design internal/simulation runs in-process, replayed
-// over HTTP. The caller owns the archive-side knowledge (topics and
-// qrels); the server only sees sessions, searches and events.
+// StudyConfig parameterises a remote user study: the (user, topic)
+// design internal/simulation runs in process, run by the same session
+// loop over HTTP. The server only sees sessions, searches and events.
 type StudyConfig struct {
 	// Client is the SDK handle to the target server. Required.
 	Client *client.Client
@@ -29,246 +25,87 @@ type StudyConfig struct {
 	// Iterations is the number of query iterations per session
 	// (default 3).
 	Iterations int
-	// PageLimit is the ranking depth fetched per iteration; it bounds
-	// the evaluated ranking (default 100).
-	PageLimit int
 	// Iface is the interaction-environment model (default
 	// ui.Desktop()).
 	Iface *ui.Interface
-	// Qrels supply ground-truth relevance for behaviour and metrics.
-	Qrels synth.Qrels
+	// Archive supplies the ground truth and the study clock. Required;
+	// it must be the archive the server serves.
+	Archive *synth.Archive
 	// Seed fixes per-session behaviour streams.
 	Seed int64
-	// RampUp staggers worker starts (optional).
-	RampUp time.Duration
-	// FetchShots also fetches shot metadata for clicked results.
-	FetchShots bool
 }
 
-// StudySessionResult is one remote session's outcome, the HTTP
-// counterpart of simulation.SessionResult.
-type StudySessionResult struct {
-	// SessionID is the server-assigned session identifier.
-	SessionID string
-	UserID    string
-	TopicID   int
-	// Events is the interaction log the virtual user sent.
-	Events []ilog.Event
-	// PerIteration holds the metrics of the ranking page fetched at
-	// each query iteration (depth bounded by PageLimit).
-	PerIteration []eval.Metrics
-	// Final is the last iteration's metrics.
-	Final eval.Metrics
-	// FinalRanking is the shot ranking of the last iteration.
-	FinalRanking []string
-	// DistinctSeen counts distinct shots examined.
-	DistinctSeen int
-	// Err records a failed session (excluded from aggregates).
-	Err error
-	// Aborted marks sessions cut short by context cancellation (run
-	// deadline, Ctrl-C) rather than a server failure.
-	Aborted bool
-}
-
-// StudyResult aggregates a remote study: retrieval quality like the
-// in-process study, plus the load report of the HTTP traffic that
-// produced it.
-type StudyResult struct {
-	Sessions []*StudySessionResult
-	// Events concatenates every successful session's log in pair
-	// order.
-	Events []ilog.Event
-	// MeanFinal / MeanFirst average final- and first-iteration
-	// metrics over successful sessions.
-	MeanFinal eval.Metrics
-	MeanFirst eval.Metrics
-	// Failed counts sessions that errored server-side; Aborted counts
-	// sessions cut short by cancellation.
-	Failed  int
-	Aborted int
-	// Report is the merged client-side telemetry of the study run.
-	Report *Report
-}
-
-// RunStudy replays an explicit (user, topic) assignment over HTTP —
-// the remote counterpart of simulation.RunStudyPairs, wrapping the
-// loadgen worker pool. Session i uses seed+i*7919, mirroring the
-// in-process seed derivation.
-func RunStudy(ctx context.Context, cfg StudyConfig, pairs []simulation.StudyPair) (*StudyResult, error) {
-	if cfg.Client == nil {
-		return nil, fmt.Errorf("loadgen: nil client")
+// RunStudy runs an explicit (user, topic) assignment over HTTP — the
+// remote counterpart of simulation.RunStudyPairs. Sessions run
+// concurrently on the worker pool, but session seq runs
+// simulation.RunPair as the in-process study does, so a server with
+// the same archive and system configuration yields the same events
+// and metrics. Each search fetches the top search.DefaultK hits, the
+// in-process ranking depth. Failed and aborted sessions are left out
+// of the study and counted in the report.
+func RunStudy(ctx context.Context, cfg StudyConfig, pairs []simulation.StudyPair) (*simulation.StudyResult, *Report, error) {
+	if cfg.Client == nil || cfg.Archive == nil {
+		return nil, nil, fmt.Errorf("loadgen: study needs a client and an archive")
 	}
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("loadgen: study needs at least one (user, topic) pair")
+	if err := simulation.ValidatePairs(pairs); err != nil {
+		return nil, nil, err
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
-	if cfg.Workers > len(pairs) {
-		cfg.Workers = len(pairs)
-	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 3
-	}
-	if cfg.PageLimit <= 0 {
-		cfg.PageLimit = 100
 	}
 	if cfg.Iface == nil {
 		cfg.Iface = ui.Desktop()
 	}
 	if err := cfg.Iface.Validate(); err != nil {
-		return nil, err
-	}
-	for _, pair := range pairs {
-		if pair.User == nil || pair.Topic == nil {
-			return nil, fmt.Errorf("loadgen: pair with nil user or topic")
-		}
-		if err := pair.User.Stereotype.Validate(); err != nil {
-			return nil, err
-		}
+		return nil, nil, err
 	}
 
 	// The study rides the generic pool: pacing is closed-loop (a lab
 	// study has no arrival process), one task per pair.
 	poolCfg := &Config{
-		Client:     cfg.Client,
 		Clients:    []*client.Client{cfg.Client},
-		Users:      cfg.Workers,
+		Users:      min(cfg.Workers, len(pairs)),
 		Sessions:   len(pairs),
 		Iterations: cfg.Iterations,
 		Pacing:     PacingClosed,
-		PageLimit:  cfg.PageLimit,
+		PageLimit:  search.DefaultK,
 		Seed:       cfg.Seed,
 		Iface:      cfg.Iface,
-		RampUp:     cfg.RampUp,
-		FetchShots: cfg.FetchShots,
-		// Unused by the study path but required by the generic
-		// validation; kept coherent anyway.
-		Queries:       []Query{{Text: "-"}},
-		RelevanceRate: 0.2,
-		Stereotypes:   simulation.Stereotypes(),
 	}
-	results := make([]*StudySessionResult, len(pairs))
+	results := make([]*simulation.SessionResult, len(pairs))
 	shards, elapsed, _ := runPool(ctx, poolCfg, func(ctx context.Context, w *worker, seq int) {
-		results[seq] = runStudySession(ctx, &cfg, w, pairs[seq], seq)
+		pair := pairs[seq]
+		var sr *simulation.SessionResult
+		err := w.driveSession(ctx, createRequest(pair.User), func(t simulation.Transport, sessionID string) (err error) {
+			sr, err = simulation.RunPair(t, cfg.Archive, cfg.Iface, pair, seq, cfg.Iterations, cfg.Seed, sessionID)
+			return err
+		})
+		if err == nil {
+			results[seq] = sr
+		}
 	})
-
-	res := &StudyResult{Report: buildReport(poolCfg, shards, elapsed)}
-	var finals, firsts []eval.Metrics
+	var sessions []*simulation.SessionResult
 	for _, sr := range results {
-		if sr == nil {
-			continue // cancelled before this pair started
-		}
-		res.Sessions = append(res.Sessions, sr)
-		if sr.Err != nil {
-			if sr.Aborted {
-				res.Aborted++
-			} else {
-				res.Failed++
-			}
-			continue
-		}
-		res.Events = append(res.Events, sr.Events...)
-		finals = append(finals, sr.Final)
-		if len(sr.PerIteration) > 0 {
-			firsts = append(firsts, sr.PerIteration[0])
+		if sr != nil {
+			sessions = append(sessions, sr)
 		}
 	}
-	res.MeanFinal = eval.Mean(finals)
-	res.MeanFirst = eval.Mean(firsts)
-	return res, nil
+	return simulation.Aggregate(sessions), buildReport(poolCfg, shards, elapsed), nil
 }
 
-// runStudySession drives one (user, topic) pair through the shared
-// session driver, computing per-iteration retrieval metrics from the
-// fetched pages.
-func runStudySession(ctx context.Context, cfg *StudyConfig, w *worker, pair simulation.StudyPair, seq int) *StudySessionResult {
-	user, topic := pair.User, pair.Topic
-	sr := &StudySessionResult{TopicID: topic.ID}
-
-	req := client.CreateSessionRequest{}
-	if user.Profile != nil {
-		req.UserID = user.Profile.UserID
+// createRequest registers a participant's static profile with the
+// server-side session.
+func createRequest(user *simulation.StudyUser) client.CreateSessionRequest {
+	req := client.CreateSessionRequest{UserID: "anon"}
+	if p := user.Profile; p != nil {
+		req.UserID = p.UserID
 		req.Interests = map[string]float64{}
-		for _, cat := range user.Profile.Categories() {
-			req.Interests[cat.String()] = user.Profile.Interest(cat)
+		for _, cat := range p.Categories() {
+			req.Interests[cat.String()] = p.Interest(cat)
 		}
 	}
-	if req.UserID == "" {
-		req.UserID = "anon"
-	}
-	sr.UserID = req.UserID
-
-	judg := eval.Judgments{}
-	for shot, g := range cfg.Qrels[topic.ID] {
-		judg[string(shot)] = g
-	}
-	out := w.driveSession(ctx, &sessionSpec{
-		req: req,
-		// Per-session behaviour stream, derived like the in-process
-		// study so session seq behaves identically run to run.
-		pol: simulation.Policy{
-			Stereotype: user.Stereotype,
-			Iface:      cfg.Iface,
-			Rand:       rand.New(rand.NewSource(cfg.Seed + int64(seq)*7919)),
-		},
-		topicID:    topic.ID,
-		short:      topic.Query,
-		verbose:    topic.Verbose,
-		relevant:   func(shotID string) bool { return judg[shotID] >= 1 },
-		keepEvents: true,
-		onPage: func(_ int, page *client.SearchPage) {
-			ids := make([]string, len(page.Hits))
-			for i := range page.Hits {
-				ids[i] = page.Hits[i].ShotID
-			}
-			sr.PerIteration = append(sr.PerIteration, eval.Compute(ids, judg))
-			sr.FinalRanking = ids
-		},
-	})
-	sr.SessionID = out.sessionID
-	sr.Events = out.events
-	sr.DistinctSeen = out.distinctSeen
-	sr.Err = out.err
-	sr.Aborted = out.aborted
-	if n := len(sr.PerIteration); n > 0 {
-		sr.Final = sr.PerIteration[n-1]
-	}
-	return sr
-}
-
-// ToRun exports the study's final rankings as a TREC run with one
-// query ID per session ("t<topic>-<session>"), mirroring
-// simulation.StudyResult.ToRun so remote studies feed the same
-// downstream tooling.
-func (sr *StudyResult) ToRun(tag string) *eval.Run {
-	run := eval.NewRun(tag)
-	for _, s := range sr.Sessions {
-		if s.Err != nil || len(s.FinalRanking) == 0 {
-			continue
-		}
-		run.Add(studyQueryID(s), s.FinalRanking)
-	}
-	return run
-}
-
-// ToQrels duplicates each topic's judgements under every session
-// query ID of the study, matching ToRun's naming.
-func (sr *StudyResult) ToQrels(qrels synth.Qrels) eval.QrelSet {
-	qs := eval.QrelSet{}
-	for _, s := range sr.Sessions {
-		if s.Err != nil || len(s.FinalRanking) == 0 {
-			continue
-		}
-		judg := eval.Judgments{}
-		for shot, g := range qrels[s.TopicID] {
-			judg[string(shot)] = g
-		}
-		qs[studyQueryID(s)] = judg
-	}
-	return qs
-}
-
-func studyQueryID(s *StudySessionResult) string {
-	return fmt.Sprintf("t%02d-%s", s.TopicID, s.SessionID)
+	return req
 }

@@ -7,17 +7,15 @@ import (
 	"repro/internal/ui"
 )
 
-// Policy is the per-iteration user-behaviour model extracted from the
-// in-process Simulator: given a displayed result list, it decides —
-// under a stereotype's probabilities and an interface's affordance
-// costs — what the user does, emitting the interaction events. It
-// knows nothing about where the results came from, so the same policy
-// drives both the in-process simulator (results from core.System) and
-// the HTTP load generator (results from a /api/v1/search page).
+// Policy is the per-iteration user-behaviour model: given a displayed
+// result list, it decides — under a stereotype's probabilities and an
+// interface's affordance costs — what the user does, emitting the
+// interaction events. It knows nothing about where the results came
+// from; RunLoop drives it over any Transport.
 //
 // A Policy owns no state beyond its PRNG; budget and the cross-
-// iteration seen-set live with the caller, mirroring how a session
-// outlives its iterations. Not safe for concurrent use (shared PRNG);
+// iteration seen-set live with the session loop, mirroring how a
+// session outlives its iterations. Not safe for concurrent use (shared PRNG);
 // create one per virtual user.
 type Policy struct {
 	// Stereotype is the behaviour model (click/dwell/rating
@@ -56,9 +54,8 @@ func (p *Policy) Reformulate(it int, current, short, verbose string) string {
 // events under the stereotype until patience or the effort budget is
 // exhausted. seen accumulates distinct examined shots across
 // iterations; budget is decremented by each action's interface cost.
-// A non-nil emit error aborts the walk and is returned.
 func (p *Policy) Examine(results []ResultView, step int, seen map[string]bool,
-	budget *float64, emit func(ilog.Event) error) error {
+	budget *float64, emit func(ilog.Event)) {
 
 	st, iface, r := p.Stereotype, p.Iface, p.Rand
 	browseCost := iface.ActionCost(ilog.ActionBrowse)
@@ -77,9 +74,7 @@ func (p *Policy) Examine(results []ResultView, step int, seen map[string]bool,
 		seen[id] = true
 		truth := res.Relevant
 		// The examined item leaves a (weak) browse trace.
-		if err := emit(ilog.Event{Action: ilog.ActionBrowse, ShotID: id, Step: step, Rank: rank}); err != nil {
-			return err
-		}
+		emit(ilog.Event{Action: ilog.ActionBrowse, ShotID: id, Step: step, Rank: rank})
 		// Perception of relevance from keyframe + title.
 		perceived := truth
 		if r.Float64() > st.Accuracy {
@@ -97,9 +92,7 @@ func (p *Policy) Examine(results []ResultView, step int, seen map[string]bool,
 			cost := iface.ActionCost(ilog.ActionHighlight)
 			if *budget >= cost {
 				*budget -= cost
-				if err := emit(ilog.Event{Action: ilog.ActionHighlight, ShotID: id, Step: step, Rank: rank}); err != nil {
-					return err
-				}
+				emit(ilog.Event{Action: ilog.ActionHighlight, ShotID: id, Step: step, Rank: rank})
 			}
 		}
 		// Click to start playback.
@@ -108,9 +101,7 @@ func (p *Policy) Examine(results []ResultView, step int, seen map[string]bool,
 			break
 		}
 		*budget -= clickCost
-		if err := emit(ilog.Event{Action: ilog.ActionClickKeyframe, ShotID: id, Step: step, Rank: rank}); err != nil {
-			return err
-		}
+		emit(ilog.Event{Action: ilog.ActionClickKeyframe, ShotID: id, Step: step, Rank: rank})
 		// Play: dwell governed by true relevance (the user finds out).
 		playCost := iface.ActionCost(ilog.ActionPlay)
 		if *budget < playCost {
@@ -129,23 +120,19 @@ func (p *Policy) Examine(results []ResultView, step int, seen map[string]bool,
 		if frac < 0.02 {
 			frac = 0.02
 		}
-		if err := emit(ilog.Event{
+		emit(ilog.Event{
 			Action: ilog.ActionPlay, ShotID: id, Step: step, Rank: rank,
 			Seconds: frac * res.Seconds,
-		}); err != nil {
-			return err
-		}
+		})
 		// Slide/scrub within the playing video.
 		if iface.Supports(ilog.ActionSlide) && r.Float64() < st.SlideProb {
 			cost := iface.ActionCost(ilog.ActionSlide)
 			if *budget >= cost {
 				*budget -= cost
-				if err := emit(ilog.Event{
+				emit(ilog.Event{
 					Action: ilog.ActionSlide, ShotID: id, Step: step, Rank: rank,
 					Seconds: res.Seconds * 0.3,
-				}); err != nil {
-					return err
-				}
+				})
 			}
 		}
 		// Explicit rating after viewing; propensity scales with how
@@ -166,13 +153,10 @@ func (p *Policy) Examine(results []ResultView, step int, seen map[string]bool,
 				if verdict {
 					value = 1
 				}
-				if err := emit(ilog.Event{
+				emit(ilog.Event{
 					Action: ilog.ActionRate, ShotID: id, Step: step, Rank: rank, Value: value,
-				}); err != nil {
-					return err
-				}
+				})
 			}
 		}
 	}
-	return nil
 }

@@ -332,6 +332,10 @@ func TestRunDriftSession(t *testing.T) {
 	if sr.TopicID != topicB.ID {
 		t.Errorf("result topic = %d, want %d", sr.TopicID, topicB.ID)
 	}
+	// Effort covers both phases, within two tasks' worth of budget.
+	if budget := 2 * ui.Desktop().SessionBudget; sr.EffortSpent <= 0 || sr.EffortSpent > budget {
+		t.Errorf("effort = %v, want in (0, %v]", sr.EffortSpent, budget)
+	}
 	// Events span both phases, with topic IDs switching.
 	sawA, sawB := false, false
 	for _, e := range sr.Events {

@@ -22,9 +22,7 @@ type Simulator struct {
 	arch  *synth.Archive
 	sys   *core.System
 	iface *ui.Interface
-	st    Stereotype
 	pol   Policy
-	r     *rand.Rand
 	clock time.Time
 }
 
@@ -39,16 +37,19 @@ func New(arch *synth.Archive, sys *core.System, iface *ui.Interface, st Stereoty
 	if err := iface.Validate(); err != nil {
 		return nil, err
 	}
-	r := rand.New(rand.NewSource(seed))
 	return &Simulator{
 		arch:  arch,
 		sys:   sys,
 		iface: iface,
-		st:    st,
-		pol:   Policy{Stereotype: st, Iface: iface, Rand: r},
-		r:     r,
-		clock: arch.Config.StartDate.AddDate(0, 1, 0), // study period after recording
+		pol:   Policy{Stereotype: st, Iface: iface, Rand: rand.New(rand.NewSource(seed))},
+		clock: studyStart(arch),
 	}, nil
+}
+
+// studyStart is when a simulated study's clock starts: the study
+// period follows the archive's recording period.
+func studyStart(arch *synth.Archive) time.Time {
+	return arch.Config.StartDate.AddDate(0, 1, 0)
 }
 
 // SessionResult is the outcome of one simulated session.
@@ -75,25 +76,148 @@ type SessionResult struct {
 	EffortSpent float64
 }
 
-// relevant answers true relevance from the ground-truth qrels.
-func (s *Simulator) relevant(topicID int, shotID string) bool {
-	return s.arch.Truth.Qrels.Grade(topicID, collection.ShotID(shotID)) >= 1
-}
-
-// judgments converts a topic's qrels to eval form.
-func (s *Simulator) judgments(topicID int) eval.Judgments {
-	j := eval.Judgments{}
-	for shot, g := range s.arch.Truth.Qrels[topicID] {
-		j[string(shot)] = g
+// newResult starts the result of one session, carrying the identity
+// its events are stamped with.
+func newResult(sessionID string, user *profile.Profile, topicID int, iface *ui.Interface) *SessionResult {
+	userID := "anon"
+	if user != nil {
+		userID = user.UserID
 	}
-	return j
+	return &SessionResult{SessionID: sessionID, UserID: userID, TopicID: topicID, Interface: iface.Name}
 }
 
-// tick advances the simulated wall clock.
-func (s *Simulator) tick(d time.Duration) time.Time {
-	s.clock = s.clock.Add(d)
-	return s.clock
+// Transport is the system side of the session loop: how the simulated
+// user's queries reach the system under study and how their events
+// come back to it. The in-process core.Session (local) and a remote
+// server behind the SDK (internal/loadgen) implement it, so a served
+// study runs the same loop as a simulated one.
+type Transport interface {
+	// Search runs one adapted query iteration. It returns the ranked
+	// shot IDs and the durations, in seconds, of the first
+	// min(depth, len(ids)) shots: the user never examines deeper.
+	Search(query string, depth int) (ids []string, seconds []float64, err error)
+	// Deliver hands the system one iteration's events, the query event
+	// first.
+	Deliver(events []ilog.Event) error
 }
+
+// Task is one search task of a session.
+type Task struct {
+	TopicID int
+	// Query is the short form issued first; Verbose is the
+	// reformulation target ("" never reformulates).
+	Query, Verbose string
+	// Iterations bounds the task's query cycles.
+	Iterations int
+	// Relevant is the user's relevance belief about a shot.
+	Relevant func(shotID string) bool
+	// Judgments, when non-nil, score every iteration's ranking into
+	// the result's PerIteration and FinalRanking.
+	Judgments eval.Judgments
+}
+
+// topicTask is the scored task of searching for topic, with relevance
+// from the archive's ground truth.
+func topicTask(arch *synth.Archive, topic *synth.SearchTopic, iterations int) Task {
+	judg := judgments(arch.Truth.Qrels, topic.ID)
+	return Task{
+		TopicID:    topic.ID,
+		Query:      topic.Query,
+		Verbose:    topic.Verbose,
+		Iterations: iterations,
+		Relevant:   func(id string) bool { return judg[id] >= 1 },
+		Judgments:  judg,
+	}
+}
+
+// RunLoop is the simulated user's session loop over t. For each task
+// and iteration it reformulates, charges the query cost, searches,
+// scores the ranking, lets pol examine it up to the stereotype's
+// patience and delivers the iteration's events, the query event
+// first. The user brings one interface SessionBudget of attention per
+// task; when it cannot pay for a query the task ends. Every event is
+// stamped with res's identity and the simulated clock, which each
+// event advances by 1–4 s drawn from pol's stream. res carries the
+// session's identity in and its log and metrics out.
+func RunLoop(t Transport, pol *Policy, clock *time.Time, res *SessionResult, tasks ...Task) error {
+	total := pol.Iface.SessionBudget * float64(len(tasks))
+	budget := total
+	seen := map[string]bool{}
+	step, topicID := 0, 0
+	emit := func(e ilog.Event) {
+		*clock = clock.Add(time.Second + time.Duration(pol.Rand.Intn(3000))*time.Millisecond)
+		e.Time = *clock
+		e.SessionID, e.UserID, e.Interface, e.TopicID = res.SessionID, res.UserID, res.Interface, topicID
+		res.Events = append(res.Events, e)
+	}
+	for _, task := range tasks {
+		topicID = task.TopicID
+		query := task.Query
+		for it := 0; it < task.Iterations; it++ {
+			// Persistent users may reformulate to the verbose form
+			// after an unsatisfying first pass.
+			query = pol.Reformulate(it, query, task.Query, task.Verbose)
+			qCost := pol.Iface.QueryCost(len(query))
+			if budget < qCost {
+				break
+			}
+			budget -= qCost
+			first := len(res.Events)
+			emit(ilog.Event{Action: ilog.ActionQuery, Query: query, Step: step + it, Rank: -1})
+			ids, seconds, err := t.Search(query, pol.Stereotype.Patience)
+			if err != nil {
+				return err
+			}
+			if task.Judgments != nil {
+				res.PerIteration = append(res.PerIteration, eval.Compute(ids, task.Judgments))
+				res.FinalRanking = ids
+			}
+			views := make([]ResultView, len(seconds))
+			for i, s := range seconds {
+				views[i] = ResultView{ShotID: ids[i], Relevant: task.Relevant(ids[i]), Seconds: s}
+			}
+			pol.Examine(views, step+it, seen, &budget, emit)
+			if err := t.Deliver(res.Events[first:]); err != nil {
+				return err
+			}
+		}
+		step += task.Iterations
+	}
+	if n := len(res.PerIteration); n > 0 {
+		res.Final = res.PerIteration[n-1]
+	}
+	res.DistinctSeen = len(seen)
+	res.EffortSpent = total - budget
+	return nil
+}
+
+// local is the in-process Transport: one core.Session, with shot
+// durations from the collection.
+type local struct {
+	sess *core.Session
+	coll *collection.Collection
+}
+
+func (l local) Search(query string, depth int) ([]string, []float64, error) {
+	res, err := l.sess.Query(query)
+	if err != nil {
+		return nil, nil, err
+	}
+	ids := res.IDs()
+	// Resolve durations only for the examinable prefix: deeper lookups
+	// would be wasted on the experiment hot path.
+	seconds := make([]float64, min(depth, len(ids)))
+	for i := range seconds {
+		if shot := l.coll.Shot(collection.ShotID(ids[i])); shot != nil {
+			seconds[i] = shot.Duration.Seconds()
+		}
+	}
+	return ids, seconds, nil
+}
+
+// Deliver feeds the batch in order. Running no query between the
+// events, it matches observing each one as it happens.
+func (l local) Deliver(events []ilog.Event) error { return l.sess.ObserveAll(events) }
 
 // RunSession simulates one user performing one search task for up to
 // maxIterations query cycles or until the interface effort budget runs
@@ -107,60 +231,11 @@ func (s *Simulator) RunSession(sessionID string, user *profile.Profile,
 	if maxIterations <= 0 {
 		return nil, fmt.Errorf("simulation: maxIterations must be positive")
 	}
-	userID := "anon"
-	if user != nil {
-		userID = user.UserID
+	res := newResult(sessionID, user, topic.ID, s.iface)
+	t := local{s.sys.NewSession(sessionID, user), s.arch.Collection}
+	if err := RunLoop(t, &s.pol, &s.clock, res, topicTask(s.arch, topic, maxIterations)); err != nil {
+		return nil, err
 	}
-	res := &SessionResult{
-		SessionID: sessionID,
-		UserID:    userID,
-		TopicID:   topic.ID,
-		Interface: s.iface.Name,
-	}
-	sess := s.sys.NewSession(sessionID, user)
-	judg := s.judgments(topic.ID)
-	budget := s.iface.SessionBudget
-	seen := map[string]bool{}
-
-	emit := func(e ilog.Event) error {
-		e.Time = s.tick(time.Second + time.Duration(s.r.Intn(3000))*time.Millisecond)
-		e.SessionID = sessionID
-		e.UserID = userID
-		e.Interface = s.iface.Name
-		e.TopicID = topic.ID
-		res.Events = append(res.Events, e)
-		return sess.Observe(e)
-	}
-
-	queryText := topic.Query
-	for it := 0; it < maxIterations; it++ {
-		// Persistent users may reformulate to the verbose form after
-		// an unsatisfying first pass.
-		queryText = s.pol.Reformulate(it, queryText, topic.Query, topic.Verbose)
-		qCost := s.iface.QueryCost(len(queryText))
-		if budget < qCost {
-			break
-		}
-		budget -= qCost
-		if err := emit(ilog.Event{Action: ilog.ActionQuery, Query: queryText, Step: it, Rank: -1}); err != nil {
-			return nil, err
-		}
-		results, err := sess.Query(queryText)
-		if err != nil {
-			return nil, err
-		}
-		res.PerIteration = append(res.PerIteration, eval.Compute(results.IDs(), judg))
-		res.FinalRanking = results.IDs()
-
-		if err := s.examine(results.IDs(), it, judg, seen, &budget, emit); err != nil {
-			return nil, err
-		}
-	}
-	if n := len(res.PerIteration); n > 0 {
-		res.Final = res.PerIteration[n-1]
-	}
-	res.DistinctSeen = len(seen)
-	res.EffortSpent = s.iface.SessionBudget - budget
 	return res, nil
 }
 
@@ -169,6 +244,7 @@ func (s *Simulator) RunSession(sessionID string, user *profile.Profile,
 // the user works on topicA for itersA iterations, then their need
 // shifts to topicB for itersB iterations *within the same session*, so
 // stale topicA evidence pollutes adaptation unless it is discounted.
+// The user never reformulates and has two tasks' worth of attention.
 // Returned metrics cover only the topicB phase, judged against topicB.
 func (s *Simulator) RunDriftSession(sessionID string, user *profile.Profile,
 	topicA, topicB *synth.SearchTopic, itersA, itersB int) (*SessionResult, error) {
@@ -179,88 +255,12 @@ func (s *Simulator) RunDriftSession(sessionID string, user *profile.Profile,
 	if itersA <= 0 || itersB <= 0 {
 		return nil, fmt.Errorf("simulation: drift session needs positive iteration counts")
 	}
-	userID := "anon"
-	if user != nil {
-		userID = user.UserID
-	}
-	res := &SessionResult{
-		SessionID: sessionID,
-		UserID:    userID,
-		TopicID:   topicB.ID,
-		Interface: s.iface.Name,
-	}
-	sess := s.sys.NewSession(sessionID, user)
-	budget := s.iface.SessionBudget * 2 // two tasks' worth of attention
-	seen := map[string]bool{}
-
-	phase := func(topic *synth.SearchTopic, iters, stepBase int, record bool) error {
-		judg := s.judgments(topic.ID)
-		emit := func(e ilog.Event) error {
-			e.Time = s.tick(time.Second + time.Duration(s.r.Intn(3000))*time.Millisecond)
-			e.SessionID = sessionID
-			e.UserID = userID
-			e.Interface = s.iface.Name
-			e.TopicID = topic.ID
-			res.Events = append(res.Events, e)
-			return sess.Observe(e)
-		}
-		for it := 0; it < iters; it++ {
-			step := stepBase + it
-			qCost := s.iface.QueryCost(len(topic.Query))
-			if budget < qCost {
-				return nil
-			}
-			budget -= qCost
-			if err := emit(ilog.Event{Action: ilog.ActionQuery, Query: topic.Query, Step: step, Rank: -1}); err != nil {
-				return err
-			}
-			results, err := sess.Query(topic.Query)
-			if err != nil {
-				return err
-			}
-			if record {
-				res.PerIteration = append(res.PerIteration, eval.Compute(results.IDs(), judg))
-			}
-			if err := s.examine(results.IDs(), step, judg, seen, &budget, emit); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := phase(topicA, itersA, 0, false); err != nil {
+	res := newResult(sessionID, user, topicB.ID, s.iface)
+	t := local{s.sys.NewSession(sessionID, user), s.arch.Collection}
+	a, b := topicTask(s.arch, topicA, itersA), topicTask(s.arch, topicB, itersB)
+	a.Verbose, b.Verbose, a.Judgments = "", "", nil
+	if err := RunLoop(t, &s.pol, &s.clock, res, a, b); err != nil {
 		return nil, err
 	}
-	if err := phase(topicB, itersB, itersA, true); err != nil {
-		return nil, err
-	}
-	if n := len(res.PerIteration); n > 0 {
-		res.Final = res.PerIteration[n-1]
-	}
-	res.DistinctSeen = len(seen)
 	return res, nil
-}
-
-// examine adapts the shared behaviour policy to in-process results:
-// relevance comes from the ground-truth qrels and shot durations from
-// the archive. Views stop at the stereotype's patience — the policy
-// never looks further, so resolving deeper durations would be wasted
-// collection lookups on the experiment hot path.
-func (s *Simulator) examine(ids []string, step int, judg eval.Judgments,
-	seen map[string]bool, budget *float64, emit func(ilog.Event) error) error {
-
-	n := min(len(ids), s.st.Patience)
-	views := make([]ResultView, n)
-	for i, id := range ids[:n] {
-		views[i] = ResultView{ShotID: id, Relevant: judg[id] >= 1, Seconds: s.shotSeconds(id)}
-	}
-	return s.pol.Examine(views, step, seen, budget, emit)
-}
-
-// shotSeconds resolves a shot's duration.
-func (s *Simulator) shotSeconds(id string) float64 {
-	shot := s.arch.Collection.Shot(collection.ShotID(id))
-	if shot == nil {
-		return 0
-	}
-	return shot.Duration.Seconds()
 }

@@ -2,6 +2,7 @@ package simulation
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/collection"
 	"repro/internal/core"
@@ -115,51 +116,92 @@ func RunStudy(arch *synth.Archive, sys *core.System, iface *ui.Interface,
 func RunStudyPairs(arch *synth.Archive, sys *core.System, iface *ui.Interface,
 	pairs []StudyPair, iterations int, seed int64) (*StudyResult, error) {
 
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("simulation: study needs at least one (user, topic) pair")
+	if err := ValidatePairs(pairs); err != nil {
+		return nil, err
 	}
-	res := &StudyResult{PerTopicAP: make(map[int]float64)}
+	if arch == nil || sys == nil || iface == nil {
+		return nil, fmt.Errorf("simulation: archive, system and interface are required")
+	}
+	if err := iface.Validate(); err != nil {
+		return nil, err
+	}
+	if iterations <= 0 {
+		return nil, fmt.Errorf("simulation: iterations must be positive")
+	}
+	sessions := make([]*SessionResult, len(pairs))
+	for seq, pair := range pairs {
+		sid := fmt.Sprintf("study-%s-t%02d-s%03d", iface.Name, pair.Topic.ID, seq)
+		// Each session gets a fresh copy of the profile: sessions
+		// must not contaminate each other through drift.
+		t := local{sys.NewSession(sid, cloneProfile(pair.User.Profile)), arch.Collection}
+		sr, err := RunPair(t, arch, iface, pair, seq, iterations, seed, sid)
+		if err != nil {
+			return nil, err
+		}
+		sessions[seq] = sr
+	}
+	return Aggregate(sessions), nil
+}
+
+// ValidatePairs checks a study design: at least one pair, each with a
+// user, a topic and a valid stereotype.
+func ValidatePairs(pairs []StudyPair) error {
+	if len(pairs) == 0 {
+		return fmt.Errorf("simulation: study needs at least one (user, topic) pair")
+	}
+	for i, pair := range pairs {
+		if pair.User == nil || pair.Topic == nil {
+			return fmt.Errorf("simulation: pair %d has nil user or topic", i)
+		}
+		if err := pair.User.Stereotype.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RunPair runs pair seq of a validated study as session sessionID over
+// t, for up to iterations query cycles: the one per-session derivation
+// the in-process study and the remote one (internal/loadgen) share.
+// Session seq draws its behaviour from seed+seq*7919, and its clock
+// starts with the study period.
+func RunPair(t Transport, arch *synth.Archive, iface *ui.Interface, pair StudyPair,
+	seq, iterations int, seed int64, sessionID string) (*SessionResult, error) {
+
+	pol := Policy{Stereotype: pair.User.Stereotype, Iface: iface, Rand: rand.New(rand.NewSource(seed + int64(seq)*7919))}
+	clock := studyStart(arch)
+	res := newResult(sessionID, pair.User.Profile, pair.Topic.ID, iface)
+	if err := RunLoop(t, &pol, &clock, res, topicTask(arch, pair.Topic, iterations)); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Aggregate summarises a study's sessions, given in pair order.
+func Aggregate(sessions []*SessionResult) *StudyResult {
+	res := &StudyResult{Sessions: sessions, PerTopicAP: make(map[int]float64)}
 	perTopicN := make(map[int]int)
 	var finals, firsts []eval.Metrics
 	var seenSum float64
-	for sessionSeq, pair := range pairs {
-		user, topic := pair.User, pair.Topic
-		if user == nil || topic == nil {
-			return nil, fmt.Errorf("simulation: pair %d has nil user or topic", sessionSeq)
-		}
-		sim, err := New(arch, sys, iface, user.Stereotype, seed+int64(sessionSeq)*7919)
-		if err != nil {
-			return nil, err
-		}
-		sid := fmt.Sprintf("study-%s-t%02d-s%03d", iface.Name, topic.ID, sessionSeq)
-		// Each session gets a fresh copy of the profile: sessions
-		// must not contaminate each other through drift.
-		p := cloneProfile(user.Profile)
-		sr, err := sim.RunSession(sid, p, topic, iterations)
-		if err != nil {
-			return nil, err
-		}
-		res.Sessions = append(res.Sessions, sr)
+	for _, sr := range sessions {
 		res.Events = append(res.Events, sr.Events...)
 		finals = append(finals, sr.Final)
 		if len(sr.PerIteration) > 0 {
 			firsts = append(firsts, sr.PerIteration[0])
 		}
-		res.PerTopicAP[topic.ID] += sr.Final.AP
-		perTopicN[topic.ID]++
+		res.PerTopicAP[sr.TopicID] += sr.Final.AP
+		perTopicN[sr.TopicID]++
 		seenSum += float64(sr.DistinctSeen)
 	}
 	for tid, n := range perTopicN {
-		if n > 0 {
-			res.PerTopicAP[tid] /= float64(n)
-		}
+		res.PerTopicAP[tid] /= float64(n)
 	}
 	res.MeanFinal = eval.Mean(finals)
 	res.MeanFirst = eval.Mean(firsts)
-	if len(res.Sessions) > 0 {
-		res.MeanDistinctSeen = seenSum / float64(len(res.Sessions))
+	if len(sessions) > 0 {
+		res.MeanDistinctSeen = seenSum / float64(len(sessions))
 	}
-	return res, nil
+	return res
 }
 
 // cloneProfile deep-copies a profile via its JSON form.
@@ -201,13 +243,18 @@ func (sr *StudyResult) ToQrels(qrels synth.Qrels) eval.QrelSet {
 		if len(s.FinalRanking) == 0 {
 			continue
 		}
-		judg := eval.Judgments{}
-		for shot, g := range qrels[s.TopicID] {
-			judg[string(shot)] = g
-		}
-		qs[sessionQueryID(s)] = judg
+		qs[sessionQueryID(s)] = judgments(qrels, s.TopicID)
 	}
 	return qs
+}
+
+// judgments converts a topic's qrels to eval form.
+func judgments(qrels synth.Qrels, topicID int) eval.Judgments {
+	j := eval.Judgments{}
+	for shot, g := range qrels[topicID] {
+		j[string(shot)] = g
+	}
+	return j
 }
 
 func sessionQueryID(s *SessionResult) string {
@@ -227,12 +274,7 @@ func Replay(sys *core.System, events []ilog.Event, qrels synth.Qrels) ([]eval.Me
 		sess := sys.NewSession("replay-"+key, nil)
 		var last eval.Metrics
 		ran := false
-		judg := eval.Judgments{}
-		if len(group) > 0 {
-			for shot, g := range qrels[group[0].TopicID] {
-				judg[string(shot)] = g
-			}
-		}
+		judg := judgments(qrels, group[0].TopicID) // BySession groups are never empty
 		for _, e := range group {
 			if e.Action == ilog.ActionQuery {
 				res, err := sess.Query(e.Query)
