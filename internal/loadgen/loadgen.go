@@ -426,6 +426,9 @@ type remote struct {
 // trace-sampled.
 func (r *remote) Search(query string, depth int) ([]string, []float64, error) {
 	w := r.w
+	// A cancelled run sends nothing more: a request that fails before
+	// reaching the server would count as a client error the server's
+	// counters never saw.
 	if err := r.ctx.Err(); err != nil {
 		return nil, nil, err
 	}
