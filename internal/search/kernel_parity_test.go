@@ -3,7 +3,9 @@ package search
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -222,5 +224,234 @@ func TestKernelParityConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// buildSkewedIndex builds a corpus shaped so block-max pruning
+// provably fires: 4096 documents (32 postings blocks for a term in
+// every doc), where the first 200 documents carry the term "common"
+// with tf=8 and a short document (high impact) while the rest carry it
+// with tf=1 inside a longer document (low impact). Once the floor heap
+// fills from the high-impact prefix, the tf=1 blocks' maxTF-derived
+// bounds cannot reach it and their tf runs are skipped. A second term
+// "extra" on a sparse subset exercises multi-term suffix bounds.
+func buildSkewedIndex(t *testing.T) *index.Index {
+	t.Helper()
+	b := index.NewBuilder()
+	for d := 0; d < 4096; d++ {
+		doc := index.NewDocument(fmt.Sprintf("shot%04d", d))
+		if d < 200 {
+			doc.SetTermCount(index.FieldText, "common", 8)
+		} else {
+			doc.SetTermCount(index.FieldText, "common", 1)
+			doc.SetTermCount(index.FieldText, "filler", 11)
+		}
+		if d%17 == 0 {
+			doc.SetTermCount(index.FieldText, "extra", 1+d%3)
+		}
+		if err := b.AddDocument(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
+// TestBlockMaxParityAndSkips is the early-termination acceptance pin:
+// on a corpus where pruning must fire, ScoreSegment skips a nonzero
+// number of postings blocks while every hit, score bit, and candidate
+// count stays identical to the retired map oracle — block-max early
+// termination is observable only through the telemetry counters.
+func TestBlockMaxParityAndSkips(t *testing.T) {
+	ix := buildSkewedIndex(t)
+	ident := func(d index.DocID) index.DocID { return d }
+	queries := []string{"common", "common extra", "extra common filler"}
+	for _, scorer := range []Scorer{BM25{}, BM25{K1: 1.6, B: 0.3}, TFIDF{}} {
+		t.Run(scorer.Name(), func(t *testing.T) {
+			before := ReadKernelStats()
+			for _, qt := range queries {
+				q := Query{Field: index.FieldText}
+				for _, term := range strings.Fields(qt) {
+					q.Terms = append(q.Terms, WeightedTerm{Term: term, Weight: 1})
+				}
+				stats := make([]TermStats, len(q.Terms))
+				for i, qterm := range q.Terms {
+					stats[i] = TermStats{
+						N:         ix.NumDocs(),
+						AvgDocLen: ix.AvgDocLen(q.Field),
+						TotalLen:  ix.TotalFieldLen(q.Field),
+						DF:        ix.DocFreq(q.Field, qterm.Term),
+						CF:        ix.CollectionFreq(q.Field, qterm.Term),
+						Weight:    qterm.Weight,
+					}
+				}
+				p := PrepareQuery(q, stats, scorer)
+				for _, k := range []int{4, 16, 64, 5000, -1} {
+					want := scoreIndexSegmentMapOracle(ix, ident, q, stats, scorer, nil, k)
+					got := p.ScoreSegment(ix, ident, nil, k)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("q=%q k=%d: pruned kernel diverged from map oracle\n got %d hits %d candidates\nwant %d hits %d candidates",
+							qt, k, len(got.Hits), got.Candidates, len(want.Hits), want.Candidates)
+					}
+					RecycleHits(got.Hits)
+				}
+			}
+			after := ReadKernelStats()
+			if after.PrunedScans == before.PrunedScans {
+				t.Error("no scan ran with pruning armed")
+			}
+			if after.BlocksSkipped == before.BlocksSkipped {
+				t.Error("block-max pruning skipped zero blocks on the skewed corpus")
+			}
+			if after.PostingsSkipped == before.PostingsSkipped {
+				t.Error("block-max pruning skipped zero postings on the skewed corpus")
+			}
+		})
+	}
+}
+
+// TestBlockMaxDisabledPaths pins the fail-safe preconditions: filters,
+// unbounded K, Dirichlet (negative per-document correction), generic
+// scorers, and hostile statistics (negative weighted IDF) must all run
+// the full scan — pruning never arms.
+func TestBlockMaxDisabledPaths(t *testing.T) {
+	ix := buildSkewedIndex(t)
+	ident := func(d index.DocID) index.DocID { return d }
+	q := Query{Field: index.FieldText, Terms: []WeightedTerm{{Term: "common", Weight: 1}}}
+	goodStats := []TermStats{{
+		N: ix.NumDocs(), AvgDocLen: ix.AvgDocLen(q.Field), TotalLen: ix.TotalFieldLen(q.Field),
+		DF: ix.DocFreq(q.Field, "common"), CF: ix.CollectionFreq(q.Field, "common"), Weight: 1,
+	}}
+	cases := []struct {
+		name   string
+		stats  []TermStats
+		scorer Scorer
+		filter func(string) bool
+		k      int
+	}{
+		{"filtered", goodStats, BM25{}, func(id string) bool { return id[len(id)-1]%2 == 0 }, 16},
+		{"unbounded", goodStats, BM25{}, nil, -1},
+		{"dirichlet", goodStats, DirichletLM{}, nil, 16},
+		{"generic", goodStats, quirkyScorer{}, nil, 16},
+		// DF > N drives BM25's IDF negative: contributions are no
+		// longer non-negative, so the bound math would be unsound.
+		{"hostile stats", []TermStats{{
+			N: 1, AvgDocLen: goodStats[0].AvgDocLen, TotalLen: goodStats[0].TotalLen,
+			DF: ix.DocFreq(q.Field, "common"), CF: goodStats[0].CF, Weight: 1,
+		}}, BM25{}, nil, 16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := ReadKernelStats()
+			p := PrepareQuery(q, tc.stats, tc.scorer)
+			want := scoreIndexSegmentMapOracle(ix, ident, q, tc.stats, tc.scorer, tc.filter, tc.k)
+			got := p.ScoreSegment(ix, ident, tc.filter, tc.k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("full scan diverged from map oracle")
+			}
+			RecycleHits(got.Hits)
+			after := ReadKernelStats()
+			if after.PrunedScans != before.PrunedScans {
+				t.Error("pruning armed on a scan that must run unpruned")
+			}
+			if after.BlocksSkipped != before.BlocksSkipped {
+				t.Error("blocks skipped on a scan that must run unpruned")
+			}
+		})
+	}
+}
+
+// buildTiedCorpus builds docs documents from three templates, so each
+// template's documents score identically under every scorer: whole
+// runs tie at any cut. External IDs are a seeded permutation of the
+// insertion order, so DocID order and ID order disagree inside a tied
+// run (the canonical order breaks ties by ID, never by DocID). The
+// same stream is built into one index and into a segments-way
+// round-robin sharded index.
+func buildTiedCorpus(t testing.TB, docs, segments int) (*index.Index, *index.Sharded) {
+	t.Helper()
+	templates := [][2]int{{3, 2}, {1, 1}, {0, 4}} // tf of "goal", "storm"
+	perm := rand.New(rand.NewSource(int64(docs))).Perm(docs)
+	doc := func(i int) *index.Document {
+		d := index.NewDocument(fmt.Sprintf("t%04d", perm[i]))
+		tf := templates[i%len(templates)]
+		if tf[0] > 0 {
+			d.SetTermCount(index.FieldText, "goal", tf[0])
+		}
+		d.SetTermCount(index.FieldText, "storm", tf[1])
+		d.SetTermCount(index.FieldText, "filler", 5-tf[0])
+		return d
+	}
+	single := index.NewBuilder()
+	builders := make([]*index.Builder, segments)
+	for i := range builders {
+		builders[i] = index.NewBuilder()
+	}
+	for i := 0; i < docs; i++ {
+		if err := single.AddDocument(doc(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := builders[i%segments].AddDocument(doc(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := make([]*index.Index, segments)
+	for i, b := range builders {
+		segs[i] = b.Build()
+	}
+	sh, err := index.NewSharded(segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return single.Build(), sh
+}
+
+// TestKernelTiesAtTheCut pins the rank order where it is hardest to
+// keep: the K-th score is shared by a run of documents that straddles
+// the cut, so which of them survive — and in what order — is decided
+// by ID alone. Each segment's kernel answer and the engine's merged
+// answer must equal the map oracle's, for every scorer path, bounded
+// and unbounded K, and 1, 2 and 3 segments.
+func TestKernelTiesAtTheCut(t *testing.T) {
+	const docs = 300 // 100 documents per template
+	for _, segments := range []int{1, 2, 3} {
+		single, sh := buildTiedCorpus(t, docs, segments)
+		eng := NewShardedEngine(sh, text.NewAnalyzer(), segments)
+		q := eng.ParseText("goal storm")
+		stats := globalStatsFor(q, sh)
+		for _, scorer := range parityScorers() {
+			p := PrepareQuery(q, stats, scorer)
+			for _, k := range []int{1, 7, 200, -1} {
+				for ord := 0; ord < sh.NumSegments(); ord++ {
+					globalID := func(d index.DocID) index.DocID {
+						return d*index.DocID(sh.NumSegments()) + index.DocID(ord)
+					}
+					want := scoreIndexSegmentMapOracle(sh.Segment(ord), globalID, q, stats, scorer, nil, k)
+					got := p.ScoreSegment(sh.Segment(ord), globalID, nil, k)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("segs=%d ord=%d scorer=%s k=%d: kernel diverged from map oracle at a tied cut\n got %+v\nwant %+v",
+							segments, ord, scorer.Name(), k, got.Hits, want.Hits)
+					}
+					RecycleHits(got.Hits)
+				}
+				// The engine's merged ranking equals the oracle over the
+				// unsegmented index (global DocIDs follow insertion order
+				// in both builds); Options.K <= 0 selects DefaultK.
+				ek := k
+				if ek <= 0 {
+					ek = DefaultK
+				}
+				ident := func(d index.DocID) index.DocID { return d }
+				oracle := scoreIndexSegmentMapOracle(single, ident, q, stats, scorer, nil, ek)
+				want := Results{Hits: oracle.Hits, Candidates: oracle.Candidates}
+				got, err := eng.Search(q, Options{K: k, Scorer: scorer})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("segs=%d scorer=%s k=%d: engine diverged from map oracle at a tied cut\n got %+v\nwant %+v",
+						segments, scorer.Name(), k, got.Hits, want.Hits)
+				}
+			}
+		}
 	}
 }
