@@ -23,8 +23,10 @@ func goldenSession(t testing.TB) *Session {
 	sess := sys.NewSession("golden", user)
 	sess.step = 3
 	sess.lastQuery = arch.Truth.SearchTopics[0].Query
-	sess.seen[string(ids[0])] = true
-	sess.seen[string(ids[2])] = true
+	for _, id := range []string{string(ids[0]), string(ids[2])} {
+		d, ok := sys.shotDoc(id)
+		sess.markSeen(d, ok, id)
+	}
 	for _, e := range []ilog.Event{
 		{SessionID: "golden", Action: ilog.ActionPlay, ShotID: string(ids[1]), Seconds: 12.5},
 		{SessionID: "golden", Action: ilog.ActionClickKeyframe, ShotID: string(ids[0])},

@@ -38,8 +38,11 @@ func (sess *Session) snapshot() (sessionSnapshot, error) {
 		LastQuery: sess.lastQuery,
 		Evidence:  sess.acc.Evidence(),
 	}
-	snap.Seen = make([]string, 0, len(sess.seen))
-	for id := range sess.seen {
+	snap.Seen = make([]string, 0, sess.SeenShots())
+	for d := range sess.seen {
+		snap.Seen = append(snap.Seen, sess.sys.shots[d].id)
+	}
+	for id := range sess.seenOther {
 		snap.Seen = append(snap.Seen, id)
 	}
 	sort.Strings(snap.Seen)
@@ -123,7 +126,8 @@ func (s *System) restoreFromSnapshot(snap *sessionSnapshot) (*Session, error) {
 	sess.step = snap.Step
 	sess.lastQuery = snap.LastQuery
 	for _, id := range snap.Seen {
-		sess.seen[id] = true
+		d, ok := s.shotDoc(id)
+		sess.markSeen(d, ok, id)
 	}
 	for i, ev := range snap.Evidence {
 		if !ev.Action.Valid() {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/feedback"
 	"repro/internal/ilog"
+	"repro/internal/index"
 	"repro/internal/profile"
 	"repro/internal/retrieval"
 	"repro/internal/search"
@@ -26,8 +27,13 @@ type Session struct {
 	// it arrived in.
 	step int
 	// seen records every shot returned to the user, for exploration
-	// metrics and optional filtering.
-	seen map[string]bool
+	// metrics and optional filtering, by global DocID: its size follows
+	// what the user saw, not the corpus. seenOther holds seen shot IDs
+	// the shot table does not know (a restored session whose shots
+	// this system's collection lacks), so they survive re-encoding;
+	// nil until needed.
+	seen      map[index.DocID]struct{}
+	seenOther map[string]struct{}
 	// lastQuery remembers the most recent query text.
 	lastQuery string
 }
@@ -43,7 +49,7 @@ func (s *System) NewSession(id string, user *profile.Profile) *Session {
 		id:   id,
 		user: user,
 		acc:  feedback.NewAccumulator(s.config.Scheme),
-		seen: make(map[string]bool),
+		seen: make(map[index.DocID]struct{}),
 	}
 }
 
@@ -60,10 +66,30 @@ func (sess *Session) Step() int { return sess.step }
 func (sess *Session) EvidenceCount() int { return sess.acc.Len() }
 
 // SeenShots returns how many distinct shots have been shown.
-func (sess *Session) SeenShots() int { return len(sess.seen) }
+func (sess *Session) SeenShots() int { return len(sess.seen) + len(sess.seenOther) }
 
 // HasSeen reports whether a shot was already returned in this session.
-func (sess *Session) HasSeen(shotID string) bool { return sess.seen[shotID] }
+func (sess *Session) HasSeen(shotID string) bool {
+	if d, ok := sess.sys.shotDoc(shotID); ok {
+		_, seen := sess.seen[d]
+		return seen
+	}
+	_, seen := sess.seenOther[shotID]
+	return seen
+}
+
+// markSeen records one shown shot: by DocID when the shot table knows
+// it, by ID otherwise.
+func (sess *Session) markSeen(d index.DocID, known bool, id string) {
+	if known {
+		sess.seen[d] = struct{}{}
+		return
+	}
+	if sess.seenOther == nil {
+		sess.seenOther = make(map[string]struct{})
+	}
+	sess.seenOther[id] = struct{}{}
+}
 
 // Query runs one adapted retrieval iteration:
 //
@@ -158,18 +184,19 @@ func (sess *Session) QueryFilteredContext(ctx context.Context, queryText string,
 	if err != nil {
 		return search.Results{}, err
 	}
+	// res.Hits is this call's own copy (the cache hands out copies),
+	// so the profile rescore works in place.
 	if sys.config.UseProfile && len(res.Hits) > 0 {
 		scale := sys.config.ProfileAlpha * res.Hits[0].Score
-		res.Hits = search.Rescore(res.Hits, scale, func(id string) float64 {
-			cat, ok := sys.shotCategory(id)
-			if !ok {
-				return 0
+		search.Rescore(res.Hits, scale, func(h search.Hit) float64 {
+			if e := sys.shot(h.Doc); e != nil && e.hasCat {
+				return sess.user.Boost(e.cat)
 			}
-			return sess.user.Boost(cat)
+			return 0
 		})
 	}
 	for _, h := range res.Hits {
-		sess.seen[h.ID] = true
+		sess.markSeen(h.Doc, sys.shot(h.Doc) != nil, h.ID)
 	}
 	sess.lastQuery = queryText
 	sess.step++
@@ -244,7 +271,8 @@ func (sess *Session) EvidenceFingerprint() uint64 {
 // profile (a new task for the same user).
 func (sess *Session) Reset() {
 	sess.acc.Reset()
-	sess.seen = make(map[string]bool)
+	sess.seen = make(map[index.DocID]struct{})
+	sess.seenOther = nil
 	sess.step = 0
 	sess.lastQuery = ""
 }

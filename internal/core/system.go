@@ -181,6 +181,17 @@ type System struct {
 	// budgetSnap, when wired (SetRetryBudgetTelemetry), contributes the
 	// merge tier's retry token bucket to RetrievalSnapshot.
 	budgetSnap func() overload.RetryBudgetStats
+	// shots is the dense shot table, indexed by global DocID.
+	shots []shotEntry
+}
+
+// shotEntry is one row of the dense shot table: the collection shot
+// behind a global DocID and its story's category. A row with an empty
+// id is a document the collection does not know.
+type shotEntry struct {
+	id     string
+	cat    collection.Category
+	hasCat bool
 }
 
 // NewSystem wires a system. engine and coll must be non-nil and built
@@ -202,6 +213,23 @@ func NewSystem(engine *search.Engine, coll *collection.Collection, cfg Config) (
 		cache:  retrieval.NewCache(cfg.CacheSize),
 	}
 	s.cfgKey = configKey(cfg)
+	// The shot table joins the engine's global DocIDs to the
+	// collection once, through the engine's own ID map, so local,
+	// sharded and distributed engines all get it; per-hit work then
+	// indexes a slice instead of hashing shot-ID strings.
+	s.shots = make([]shotEntry, engine.NumDocs())
+	coll.Shots(func(shot *collection.Shot) bool {
+		d, ok := engine.DocIDOf(string(shot.ID))
+		if !ok || int(d) >= len(s.shots) {
+			return true
+		}
+		e := shotEntry{id: string(shot.ID)}
+		if st := coll.Story(shot.StoryID); st != nil {
+			e.cat, e.hasCat = st.Category, true
+		}
+		s.shots[d] = e
+		return true
+	})
 	segDocs := make([]int, engine.NumSegments())
 	for i := range segDocs {
 		segDocs[i] = engine.SegmentDocs(i)
@@ -287,6 +315,25 @@ func (s *System) Collection() *collection.Collection { return s.coll }
 
 // Analyzer returns the text pipeline shared by indexing and querying.
 func (s *System) Analyzer() *text.Analyzer { return s.engine.Analyzer() }
+
+// shot returns the shot table row of global DocID d, or nil when the
+// table does not know d.
+func (s *System) shot(d index.DocID) *shotEntry {
+	if int(d) >= len(s.shots) || s.shots[d].id == "" {
+		return nil
+	}
+	return &s.shots[d]
+}
+
+// shotDoc resolves a shot ID to its global DocID through the shot
+// table (ok=false for a shot the table does not know).
+func (s *System) shotDoc(id string) (index.DocID, bool) {
+	d, ok := s.engine.DocIDOf(id)
+	if !ok || s.shot(d) == nil {
+		return 0, false
+	}
+	return d, true
+}
 
 // shotCategory resolves a shot's news category (ok=false for unknown
 // shots).

@@ -24,7 +24,8 @@ import (
 var (
 	// ErrBadResponse marks a backend reply the merge tier refused to
 	// trust: wrong content type, undecodable body, a segment echo that
-	// does not match the request, or fewer candidates than hits. Garbage
+	// does not match the request, fewer candidates than hits, or hits
+	// out of rank order (the merge relies on ranked lists). Garbage
 	// from a backend must become this error — never a silently wrong
 	// ranking.
 	ErrBadResponse = errors.New("distrib: malformed backend response")
@@ -292,9 +293,24 @@ func (b *backend) searchOnce(ctx context.Context, sreq *SearchRequest) (*SearchR
 		err = fmt.Errorf("%w: scored segment %d, asked for %d", ErrBadResponse, out.Segment, sreq.Segment)
 	case out.Candidates < len(out.Hits):
 		err = fmt.Errorf("%w: %d candidates < %d hits", ErrBadResponse, out.Candidates, len(out.Hits))
+	case !inRankOrder(out.Hits):
+		err = fmt.Errorf("%w: hits out of rank order", ErrBadResponse)
 	default:
 		return out, nil
 	}
 	recycleWireHits(out.Hits)
 	return nil, err
+}
+
+// inRankOrder reports whether hits strictly follow the canonical rank
+// order (score descending, ties by ascending ID) that every segment
+// answers in and the engine's linear merge relies on.
+func inRankOrder(hits []WireHit) bool {
+	for i := 1; i < len(hits); i++ {
+		a, b := &hits[i-1], &hits[i]
+		if !(a.Score > b.Score || a.Score == b.Score && a.ID < b.ID) {
+			return false
+		}
+	}
+	return true
 }

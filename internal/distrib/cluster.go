@@ -633,7 +633,7 @@ func (c *Cluster) Backends() []string {
 }
 
 // NewEngine assembles the scatter/gather searcher: remote segments
-// behind the same search.Engine executor and TopK merge as the
+// behind the same search.Engine executor and ranked-list merge as the
 // in-process fan-out. analyzer must match the pipeline the segment
 // servers indexed with (nil selects the shared default); workers
 // bounds concurrent in-flight RPCs per query (0 = GOMAXPROCS). The

@@ -261,7 +261,7 @@ func TestRPCSearchBinaryErrors(t *testing.T) {
 }
 
 // TestSegmentPrometheusCodecFamilies: after one IVRB search, the scrape
-// surface the CI smoke test asserts against — the kernel block-max
+// surface the CI smoke test asserts against — the kernel's work
 // counters — is present.
 func TestSegmentPrometheusCodecFamilies(t *testing.T) {
 	ts, _, _ := newRPCServer(t, 2)
@@ -283,9 +283,8 @@ func TestSegmentPrometheusCodecFamilies(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{
-		"# TYPE ivr_kernel_blocks_skipped_total counter",
-		"ivr_kernel_segment_scans_total",
-		"ivr_kernel_postings_skipped_total",
+		"# TYPE ivr_kernel_segment_scans_total counter",
+		"# TYPE ivr_kernel_blocks_scored_total counter",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)

@@ -255,7 +255,7 @@ func (s *SegmentServer) handlePrometheus(w http.ResponseWriter, _ *http.Request)
 		return
 	}
 	// Segment-tier extras on the same scrape: the scoring kernel's
-	// block-max telemetry.
+	// work counters.
 	p := metrics.NewPromWriter(w)
 	ks := search.ReadKernelStats()
 	kernel := []struct {
@@ -263,12 +263,7 @@ func (s *SegmentServer) handlePrometheus(w http.ResponseWriter, _ *http.Request)
 		v    int64
 	}{
 		{"ivr_kernel_segment_scans_total", ks.SegmentScans},
-		{"ivr_kernel_pruned_scans_total", ks.PrunedScans},
 		{"ivr_kernel_blocks_scored_total", ks.BlocksScored},
-		{"ivr_kernel_blocks_skipped_total", ks.BlocksSkipped},
-		{"ivr_kernel_blocks_rescored_total", ks.BlocksRescored},
-		{"ivr_kernel_postings_skipped_total", ks.PostingsSkipped},
-		{"ivr_kernel_terms_skipped_total", ks.TermsSkipped},
 	}
 	for _, k := range kernel {
 		p.Family(k.name, "counter")

@@ -151,8 +151,8 @@ func NewShardedEngine(sh *index.Sharded, analyzer *text.Analyzer, workers int) *
 
 // NewSegmentsEngine assembles an engine over arbitrary segments — the
 // constructor the distributed merge tier uses to put remote segment
-// servers behind the same scatter/gather executor and TopK merge as
-// the in-process fan-out. stats must aggregate collection-wide
+// servers behind the same scatter/gather executor and ranked-list merge
+// as the in-process fan-out. stats must aggregate collection-wide
 // statistics over exactly the documents the segments hold; workers
 // bounds the fan-out pool (0 selects GOMAXPROCS).
 func NewSegmentsEngine(stats StatsView, segs []SegmentSearcher, analyzer *text.Analyzer, workers int) *Engine {
@@ -312,48 +312,39 @@ func (e *Engine) SearchContext(ctx context.Context, q Query, opts Options) (Resu
 		wg.Wait()
 	}
 
-	// Merge: each segment kept its k best, so the global top-k is in
-	// the union; the total (score, ID) order makes the merge
-	// order-independent. Surface the lowest-ordinal failure for
-	// deterministic error reporting. Per-segment hit lists are dead
-	// after the merge, so they go back to the kernel's pool.
+	// Merge: each segment returned its k best in rank order, so the
+	// global top-k is the first k of one linear merge of those lists;
+	// the total (score, ID) order makes it independent of segment
+	// order. Surface the lowest-ordinal failure for deterministic error
+	// reporting. Per-segment hit lists are dead after the merge, so
+	// they go back to the kernel's pool.
 	_, mrg := trace.StartSpan(ctx, "merge")
-	top := getTopK(k)
-	candidates := 0
-	succeeded := 0
+	candidates, succeeded, total := 0, 0, 0
 	for _, r := range results {
 		if r.err == nil {
 			succeeded++
+			candidates += r.res.Candidates
+			total += len(r.res.Hits)
 		}
 	}
 	var failed []int
 	for i, r := range results {
-		if r.err != nil {
-			// Degraded mode tolerates the failure (flagged below) as
-			// long as some segment answers; otherwise fail whole, so a
-			// missing segment's documents never vanish silently.
-			if e.allowPartial && succeeded > 0 {
-				failed = append(failed, i)
-				continue
-			}
-			putTopK(top)
-			mrg.End()
-			// Recycle the hits of segments that did answer.
-			for _, done := range results[i+1:] {
-				if done.err == nil {
-					RecycleHits(done.res.Hits)
-				}
-			}
-			return Results{}, &SegmentError{Segment: i, Err: r.err}
+		if r.err == nil {
+			continue
 		}
-		candidates += r.res.Candidates
-		for _, h := range r.res.Hits {
-			top.Offer(h)
+		// Degraded mode tolerates the failure (flagged below) as long
+		// as some segment answers; otherwise fail whole, so a missing
+		// segment's documents never vanish silently.
+		if e.allowPartial && succeeded > 0 {
+			failed = append(failed, i)
+			continue
 		}
-		RecycleHits(r.res.Hits)
+		mrg.End()
+		recycleOutcomes(results)
+		return Results{}, &SegmentError{Segment: i, Err: r.err}
 	}
-	hits := top.Ranked()
-	putTopK(top)
+	hits := mergeRanked(results, min(k, total))
+	recycleOutcomes(results)
 	if mrg != nil {
 		mrg.SetAttr("candidates", strconv.Itoa(candidates))
 		if len(failed) > 0 {
@@ -362,6 +353,40 @@ func (e *Engine) SearchContext(ctx context.Context, q Query, opts Options) (Resu
 		mrg.End()
 	}
 	return Results{Hits: hits, Candidates: candidates, Partial: len(failed) > 0, FailedSegments: failed}, nil
+}
+
+// mergeRanked merges the answered segments' ranked hit lists into a
+// fresh list of the n best: each step takes the best list head, so the
+// merge costs n × segments compares and sorts nothing.
+func mergeRanked(results []segmentOutcome, n int) []Hit {
+	out := make([]Hit, 0, n)
+	for len(out) < n {
+		best := -1
+		for i := range results {
+			r := &results[i]
+			if r.err != nil || r.next == len(r.res.Hits) {
+				continue
+			}
+			if best < 0 || hitLess(r.res.Hits[r.next], results[best].res.Hits[results[best].next]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, results[best].res.Hits[results[best].next])
+		results[best].next++
+	}
+	return out
+}
+
+// recycleOutcomes hands every answered segment's hits back to the pool.
+func recycleOutcomes(results []segmentOutcome) {
+	for _, r := range results {
+		if r.err == nil {
+			RecycleHits(r.res.Hits)
+		}
+	}
 }
 
 // SearchMultiField runs the same information need against several

@@ -1,6 +1,6 @@
 package search
 
-import "sort"
+import "slices"
 
 // Fuser combines multiple ranked lists over the same document space
 // into one. Implementations must be deterministic.
@@ -148,15 +148,18 @@ func WeightedHits(hits []Hit, w float64) []Hit {
 	return out
 }
 
-// Rescore adds boost(id)*alpha to each hit's score and re-sorts,
-// returning a new list. It is the primitive the profile re-ranker is
-// built from.
-func Rescore(hits []Hit, alpha float64, boost func(id string) float64) []Hit {
-	out := make([]Hit, len(hits))
-	copy(out, hits)
-	for i := range out {
-		out[i].Score += alpha * boost(out[i].ID)
+// Rescore adds alpha*boost(h) to each hit's score in place, then
+// restores rank order only if a boost broke it. It is the primitive the
+// profile re-ranker is built from.
+func Rescore(hits []Hit, alpha float64, boost func(Hit) float64) {
+	ordered := true
+	for i := range hits {
+		hits[i].Score += alpha * boost(hits[i])
+		if i > 0 && hitLess(hits[i], hits[i-1]) {
+			ordered = false
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return hitLess(out[i], out[j]) })
-	return out
+	if !ordered {
+		slices.SortFunc(hits, hitCompare)
+	}
 }

@@ -1,8 +1,11 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -85,14 +88,6 @@ type PreparedQuery struct {
 	terms []kernelTerm
 	sumW  float64
 	mu    float64 // Dirichlet doc-score smoothing mass
-
-	// prunable marks a query whose per-posting contributions are
-	// provably non-negative and monotone in tf with a closed-form upper
-	// bound (BM25 and TFIDF with sane, finite constants) — the
-	// precondition for block-max early termination. Dirichlet carries a
-	// negative per-document correction and generic scorers have unknown
-	// sign, so both always run the full scan.
-	prunable bool
 }
 
 // PrepareQuery compiles a query against precomputed global term
@@ -112,47 +107,30 @@ func PrepareQuery(q Query, stats []TermStats, scorer Scorer) *PreparedQuery {
 	case BM25:
 		p.kind = kindBM25
 		k1, b := s.params()
-		// Pruning needs the saturation curve monotone increasing in tf
-		// and the length norm bounded below by k1*(1-b): k1 >= 0 and
-		// b in [0,1]. Hostile wire stats are vetted per term below.
-		p.prunable = k1 >= 0 && b >= 0 && b <= 1
 		for ti, t := range q.Terms {
 			if stats[ti].DF == 0 || t.Weight == 0 {
 				continue
 			}
 			st := stats[ti]
 			idf := math.Log(1 + (float64(st.N)-float64(st.DF)+0.5)/(float64(st.DF)+0.5))
-			kt := kernelTerm{
+			p.terms = append(p.terms, kernelTerm{
 				term: t.Term, ti: ti,
 				wIdf: st.Weight * idf, k1p1: k1 + 1, k1: k1, b: b,
 				oneMinusB: 1 - b, maxAvg: math.Max(st.AvgDocLen, 1e-9),
-			}
-			// A negative or non-finite weighted IDF (possible with
-			// adversarial remote statistics) breaks the non-negative
-			// contribution invariant: fail safe to the full scan.
-			if !(kt.wIdf >= 0) || math.Signbit(kt.wIdf) || math.IsInf(kt.wIdf, 0) {
-				p.prunable = false
-			}
-			p.terms = append(p.terms, kt)
+			})
 		}
 	case TFIDF:
 		p.kind = kindTFIDF
-		p.prunable = true
 		for ti, t := range q.Terms {
 			if stats[ti].DF == 0 || t.Weight == 0 {
 				continue
 			}
 			st := stats[ti]
-			kt := kernelTerm{
+			p.terms = append(p.terms, kernelTerm{
 				term: t.Term, ti: ti,
 				weight: st.Weight,
 				idf:    math.Log(float64(st.N+1) / float64(st.DF)),
-			}
-			if !(kt.weight >= 0) || math.IsInf(kt.weight, 0) ||
-				!(kt.idf >= 0) || math.IsInf(kt.idf, 0) {
-				p.prunable = false
-			}
-			p.terms = append(p.terms, kt)
+			})
 		}
 	case DirichletLM:
 		p.kind = kindDirichlet
@@ -195,10 +173,10 @@ func (p *PreparedQuery) Stats() []TermStats { return p.stats }
 // Scorer returns the scorer the query was compiled for.
 func (p *PreparedQuery) Scorer() Scorer { return p.scorer }
 
-// kernelBlock bounds one postings decode burst. 256 postings keep the
-// scratch (256*4 + 256*4 bytes) comfortably inside L1 alongside the
-// touched accumulator lines.
-const kernelBlock = 256
+// kernelBlock bounds one postings decode burst: one storage block, so
+// the scratch (128*4 + 128*4 bytes) stays inside L1 alongside the
+// touched accumulator lines and a burst is a unit BlocksScored counts.
+const kernelBlock = index.BlockSize
 
 // accumulator is the dense per-segment scoring state, recycled through
 // accPool. scores holds one float64 per segment document; epochs marks
@@ -217,90 +195,29 @@ type accumulator struct {
 	docBuf [kernelBlock]index.DocID
 	tfBuf  [kernelBlock]uint32
 
-	// Block-max pruning state, armed per scan by ScoreSegment. its and
-	// rem are per-term scratch (iterators fetched up front so term
-	// upper bounds are known before scoring; rem[i] bounds everything
-	// terms after i can still contribute). floorH, when floorK > 0, is
-	// a raw min-heap over the k largest first-touch scores: since
-	// BM25/TFIDF contributions are non-negative, a document's final
-	// score is at least its first contribution, so once full the root
-	// is a valid lower bound on the segment's true k-th best final
-	// score. A bare []float64 heap — not a TopK — because the floor is
-	// offered every first touch on the hottest loop in the system: the
-	// common case is one float compare against the root, with no Hit
-	// copies and no tie-breaking ID compares (rank ties are irrelevant
-	// to a value bound).
-	its    []index.PostingsIterator
-	rem    []float64
-	floorK int
-	floorH []float64
+	// Top-k selection scratch: keys holds each candidate's final score
+	// beside its local DocID, best a min-heap over the k best scores
+	// (see cut). Both are pointer-free, so selection never touches an
+	// ID string.
+	keys []rankKey
+	best []float64
 }
 
-// offerFloor feeds one first-touch score to the floor heap: grow until
-// k values are held, then replace the minimum only when s beats it.
-func (a *accumulator) offerFloor(s float64) {
-	h := a.floorH
-	if len(h) == a.floorK {
-		if s <= h[0] {
-			return
-		}
-		// Replace the root and sift the new value down.
-		i, n := 0, len(h)
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			if r := l + 1; r < n && h[r] < h[l] {
-				l = r
-			}
-			if h[l] >= s {
-				break
-			}
-			h[i] = h[l]
-			i = l
-		}
-		h[i] = s
-		return
-	}
-	// Growing phase (first k touches of the scan): push and sift up.
-	h = append(h, s)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= s {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = s
-	a.floorH = h
+// rankKey is one candidate in the top-k selection: its final score and
+// its segment-local DocID.
+type rankKey struct {
+	score float64
+	doc   index.DocID
 }
 
-// floorScore returns the current pruning threshold and whether the
-// floor heap has filled (only a full heap bounds the k-th best score).
-func (a *accumulator) floorScore() (float64, bool) {
-	if len(a.floorH) < a.floorK {
-		return 0, false
+// rankKeyCompare orders keys by descending score (NaN last), then by
+// ascending DocID. It is the pointer-free stand-in for the canonical
+// (score, ID) order; fixTieRuns repairs the one place they differ.
+func rankKeyCompare(a, b rankKey) int {
+	if c := cmp.Compare(b.score, a.score); c != 0 {
+		return c
 	}
-	return a.floorH[0], true
-}
-
-// iters returns per-term iterator scratch of length n.
-func (a *accumulator) iters(n int) []index.PostingsIterator {
-	if cap(a.its) < n {
-		a.its = make([]index.PostingsIterator, n)
-	}
-	return a.its[:n]
-}
-
-// remBuf returns per-term suffix-bound scratch of length n.
-func (a *accumulator) remBuf(n int) []float64 {
-	if cap(a.rem) < n {
-		a.rem = make([]float64, n)
-	}
-	return a.rem[:n]
+	return cmp.Compare(a.doc, b.doc)
 }
 
 // reset arms the accumulator for a segment of n documents.
@@ -322,7 +239,6 @@ func (a *accumulator) reset(n int) {
 		a.epoch = 1
 	}
 	a.touched = a.touched[:0]
-	a.floorK = 0
 }
 
 // add accumulates a term contribution for document d. First touch in
@@ -333,20 +249,94 @@ func (a *accumulator) add(d index.DocID, s float64) {
 		a.epochs[d] = a.epoch
 		a.scores[d] = s
 		a.touched = append(a.touched, d)
-		if a.floorK > 0 {
-			a.offerFloor(s)
-		}
 	} else {
 		a.scores[d] += s
 	}
 }
 
-// Pools. All three cycle through sync.Pool so a steady-state query
-// allocates nothing for accumulator state, top-k heaps, or hit slices;
-// the counters feed the kernel block of /api/v1/metrics.
+// cut keeps the keys scoring at or above the k-th best score (k <
+// len(keys)): every member of the top k plus any key tied with the
+// k-th, which the caller orders by ID. The k-th best score comes from
+// a bounded min-heap of floats, so the common candidate costs one
+// compare against the root. NaN enters the heap as -Inf, which can
+// only lower the threshold; a lower threshold keeps extra keys, never
+// drops a member of the top k.
+func (a *accumulator) cut(keys []rankKey, k int) []rankKey {
+	h := a.best[:0]
+	for _, key := range keys {
+		s := key.score
+		if s != s {
+			s = math.Inf(-1)
+		}
+		if len(h) < k {
+			// Growing phase: push and sift up.
+			h = append(h, s)
+			i := len(h) - 1
+			for i > 0 {
+				p := (i - 1) / 2
+				if h[p] <= s {
+					break
+				}
+				h[i] = h[p]
+				i = p
+			}
+			h[i] = s
+			continue
+		}
+		if s <= h[0] {
+			continue
+		}
+		// Replace the root and sift the new value down.
+		i, n := 0, len(h)
+		for {
+			l := 2*i + 1
+			if l >= n {
+				break
+			}
+			if r := l + 1; r < n && h[r] < h[l] {
+				l = r
+			}
+			if h[l] >= s {
+				break
+			}
+			h[i] = h[l]
+			i = l
+		}
+		h[i] = s
+	}
+	theta := h[0]
+	a.best = h
+	kept := keys[:0]
+	for _, key := range keys {
+		if !(key.score < theta) {
+			kept = append(kept, key)
+		}
+	}
+	return kept
+}
+
+// fixTieRuns restores the canonical order inside each run of exactly
+// equal scores, which rankKeyCompare left in DocID order: ties rank by
+// ascending external ID, so equal-scored runs are reproducible across
+// any segmentation and across processes.
+func fixTieRuns(hits []Hit) {
+	for i := 0; i < len(hits); {
+		j := i + 1
+		for j < len(hits) && hits[j].Score == hits[i].Score {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(hits[i:j], func(a, b Hit) int { return strings.Compare(a.ID, b.ID) })
+		}
+		i = j
+	}
+}
+
+// Pools. Both cycle through sync.Pool so a steady-state query
+// allocates nothing for accumulator state or hit slices; the counters
+// feed the kernel block of /api/v1/metrics.
 var (
 	accPool  = sync.Pool{New: func() any { kernelCounters.accAllocs.Add(1); return new(accumulator) }}
-	topKPool = sync.Pool{New: func() any { kernelCounters.topKAllocs.Add(1); return new(TopK) }}
 	hitsPool = sync.Pool{New: func() any {
 		kernelCounters.hitsAllocs.Add(1)
 		s := make([]Hit, 0, DefaultK)
@@ -367,15 +357,6 @@ func getAccumulator(n int) *accumulator {
 }
 
 func putAccumulator(a *accumulator) { accPool.Put(a) }
-
-func getTopK(k int) *TopK {
-	kernelCounters.topKGets.Add(1)
-	t := topKPool.Get().(*TopK)
-	t.Reset(k)
-	return t
-}
-
-func putTopK(t *TopK) { topKPool.Put(t) }
 
 // getHits returns an empty, non-nil hit slice with pooled backing
 // storage, parking the emptied box for RecycleHits to reuse.
@@ -405,54 +386,13 @@ func RecycleHits(hits []Hit) {
 // kernelStatsCounters aggregates kernel pool telemetry (atomics; the
 // hot path only ever increments).
 type kernelStatsCounters struct {
-	compiles   atomic.Int64
-	scans      atomic.Int64
-	accGets    atomic.Int64
-	accAllocs  atomic.Int64
-	topKGets   atomic.Int64
-	topKAllocs atomic.Int64
-	hitsGets   atomic.Int64
-	hitsAllocs atomic.Int64
-
-	// block-max early-termination telemetry
-	prunedScans     atomic.Int64
-	blocksScored    atomic.Int64
-	blocksSkipped   atomic.Int64
-	blocksRescored  atomic.Int64
-	postingsSkipped atomic.Int64
-	termsSkipped    atomic.Int64
-}
-
-// scanCounters batches one scan's block-max telemetry so the hot loops
-// touch plain ints; flush pays the atomics once per segment scan.
-type scanCounters struct {
-	pruned          bool
-	blocksScored    int64
-	blocksSkipped   int64
-	blocksRescored  int64
-	postingsSkipped int64
-	termsSkipped    int64
-}
-
-func (c *scanCounters) flush() {
-	if c.pruned {
-		kernelCounters.prunedScans.Add(1)
-	}
-	if c.blocksScored != 0 {
-		kernelCounters.blocksScored.Add(c.blocksScored)
-	}
-	if c.blocksSkipped != 0 {
-		kernelCounters.blocksSkipped.Add(c.blocksSkipped)
-	}
-	if c.blocksRescored != 0 {
-		kernelCounters.blocksRescored.Add(c.blocksRescored)
-	}
-	if c.postingsSkipped != 0 {
-		kernelCounters.postingsSkipped.Add(c.postingsSkipped)
-	}
-	if c.termsSkipped != 0 {
-		kernelCounters.termsSkipped.Add(c.termsSkipped)
-	}
+	compiles     atomic.Int64
+	scans        atomic.Int64
+	accGets      atomic.Int64
+	accAllocs    atomic.Int64
+	hitsGets     atomic.Int64
+	hitsAllocs   atomic.Int64
+	blocksScored atomic.Int64
 }
 
 var kernelCounters kernelStatsCounters
@@ -461,29 +401,20 @@ var kernelCounters kernelStatsCounters
 // Compiles counts PrepareQuery calls, Scans counts per-segment kernel
 // executions, and each pool reports how many Gets it served against
 // how many backing objects it ever had to allocate — a healthy steady
-// state shows Allocs plateauing while Gets grows.
+// state shows Allocs plateauing while Gets grows. BlocksScored counts
+// postings blocks decoded and scored. BlocksSkipped is always 0: the
+// kernel scans every block (block-max skipping was removed after it
+// skipped under 1% of blocks at K = 200); the field stays for scrapers
+// that read it.
 type KernelStats struct {
 	Compiles        int64 `json:"compiles"`
 	SegmentScans    int64 `json:"segment_scans"`
 	AccumulatorGets int64 `json:"accumulator_gets"`
 	AccumulatorNews int64 `json:"accumulator_allocs"`
-	TopKGets        int64 `json:"topk_gets"`
-	TopKNews        int64 `json:"topk_allocs"`
 	HitSliceGets    int64 `json:"hit_slice_gets"`
 	HitSliceNews    int64 `json:"hit_slice_allocs"`
-
-	// Block-max early termination: PrunedScans counts scans that ran
-	// with pruning armed; BlocksSkipped postings blocks whose tf run
-	// and scoring arithmetic were bypassed (PostingsSkipped the
-	// postings inside them), BlocksRescored blocks whose bound allowed
-	// a skip but an already-touched document forced an exact score,
-	// TermsSkipped query terms whose every block was skipped.
-	PrunedScans     int64 `json:"pruned_scans"`
 	BlocksScored    int64 `json:"blocks_scored"`
 	BlocksSkipped   int64 `json:"blocks_skipped"`
-	BlocksRescored  int64 `json:"blocks_rescored"`
-	PostingsSkipped int64 `json:"postings_skipped"`
-	TermsSkipped    int64 `json:"terms_skipped"`
 }
 
 // ReadKernelStats snapshots the process-wide kernel telemetry.
@@ -493,101 +424,29 @@ func ReadKernelStats() KernelStats {
 		SegmentScans:    kernelCounters.scans.Load(),
 		AccumulatorGets: kernelCounters.accGets.Load(),
 		AccumulatorNews: kernelCounters.accAllocs.Load(),
-		TopKGets:        kernelCounters.topKGets.Load(),
-		TopKNews:        kernelCounters.topKAllocs.Load(),
 		HitSliceGets:    kernelCounters.hitsGets.Load(),
 		HitSliceNews:    kernelCounters.hitsAllocs.Load(),
-		PrunedScans:     kernelCounters.prunedScans.Load(),
 		BlocksScored:    kernelCounters.blocksScored.Load(),
-		BlocksSkipped:   kernelCounters.blocksSkipped.Load(),
-		BlocksRescored:  kernelCounters.blocksRescored.Load(),
-		PostingsSkipped: kernelCounters.postingsSkipped.Load(),
-		TermsSkipped:    kernelCounters.termsSkipped.Load(),
 	}
-}
-
-// termBound returns an upper bound on a single posting's contribution
-// from kt given the largest term frequency m it can carry. Only valid
-// for the prunable kinds: BM25's saturation is monotone increasing in
-// tf and its length norm is at least k1*(1-b) (document length only
-// shrinks the score), TFIDF's 1+log(tf) is monotone and its
-// sqrt(max(docLen,1)) divisor is at least 1.
-func (p *PreparedQuery) termBound(kt *kernelTerm, maxTF uint32) float64 {
-	if maxTF == 0 {
-		return 0
-	}
-	m := float64(maxTF)
-	switch p.kind {
-	case kindBM25:
-		return kt.wIdf * (m * kt.k1p1) / (m + kt.k1*kt.oneMinusB)
-	case kindTFIDF:
-		return kt.weight * kt.idf * (1 + math.Log(m))
-	}
-	return math.Inf(1)
-}
-
-// skipBlock attempts the block-max skip for the open block of it given
-// bound (the block's best possible contribution plus everything later
-// terms can still add). A skip decodes only the block's doc run — new
-// documents are registered with a zero contribution so candidate
-// counts stay exact — and drops the tf run unread.
-//
-// skipped == false means the caller must score the block exactly:
-// either the floor heap is not full yet, the bound reaches the floor,
-// or an already-touched document in the block could still be lifted to
-// the floor (its exact accumulated score plus the bound reaches the
-// floor — such a document's accumulated score IS exact, because by
-// induction a document only ever has a contribution skipped once its
-// final total is provably below the floor, after which it can never
-// enter the top k and its accumulated value never surfaces). In that
-// last case the doc run is already consumed into acc.docBuf; decoded
-// reports how many entries, so the caller decodes only the pending tf
-// run.
-func skipBlock(acc *accumulator, it *index.PostingsIterator, bound float64, c *scanCounters) (decoded int, skipped bool) {
-	theta, full := acc.floorScore()
-	if !full || !(bound < theta) {
-		return 0, false
-	}
-	nd := it.DecodeBlockDocs(acc.docBuf[:])
-	for j := 0; j < nd; j++ {
-		d := acc.docBuf[j]
-		if acc.epochs[d] == acc.epoch && acc.scores[d]+bound >= theta {
-			c.blocksRescored++
-			return nd, false
-		}
-	}
-	for j := 0; j < nd; j++ {
-		if d := acc.docBuf[j]; acc.epochs[d] != acc.epoch {
-			acc.add(d, 0)
-		}
-	}
-	c.blocksSkipped++
-	c.postingsSkipped += int64(nd)
-	return nd, true
 }
 
 // ScoreSegment runs the compiled kernel over one in-memory index
-// segment: term-at-a-time accumulation into the dense pooled
-// accumulator, then the segment-local top-k cut. globalID converts the
-// segment's local doc IDs to engine-wide IDs; k <= 0 keeps every
-// candidate. Rankings, scores and candidate counts are bit-identical
-// to the reference map scan (see ScoreIndexSegment's contract); the
-// parity suite pins this per scorer, seed, K and segment count.
+// segment: term-at-a-time accumulation of every postings block into
+// the dense pooled accumulator, then the segment-local top-k cut.
+// globalID converts the segment's local doc IDs to engine-wide IDs;
+// k <= 0 keeps every candidate. The returned hits are in rank order
+// (score descending, ties by ascending ID). Rankings, scores and
+// candidate counts are bit-identical to the reference map scan (see
+// ScoreIndexSegment's contract); the parity suite pins this per
+// scorer, seed, K, segment count and tie pattern.
 //
-// For prunable queries (see PreparedQuery.prunable) with a positive k
-// and no filter, the scan applies block-max early termination: a
-// first-touch score floor (lower bound on the segment's final k-th
-// score, valid because contributions are non-negative) lets whole
-// postings blocks skip their tf decode and scoring arithmetic when the
-// block's maxTF-derived bound plus all later terms' bounds cannot
-// reach it. Doc runs are always decoded, so candidate counts — which
-// are user-visible — stay exact; this is the deliberate deviation
-// from classic DAAT WAND, which trades candidate accounting away.
-// Early termination never changes any reported hit, score bit, or
-// candidate count: a skipped contribution always belongs to a document
-// whose true final score is strictly below the true k-th best, and a
-// document belonging to the true top k always fails the skip check, so
-// its score stays exact.
+// The cut works on floats: each candidate's final score sits beside
+// its local DocID in a pointer-free key, a bounded heap of scores finds
+// the k-th best, and only the keys at or above it are sorted and
+// resolved to external IDs. IDs are compared only inside runs of
+// exactly equal scores, so an ID string is touched only for a document
+// that is returned or tied at the cut. A filter, which judges IDs,
+// resolves every candidate's ID.
 //
 // The returned SegmentResult.Hits may come from the kernel's slice
 // pool; hand it back with RecycleHits once it is dead.
@@ -618,117 +477,36 @@ func (p *PreparedQuery) scoreSegment(b *overload.Budget, seg *index.Index, globa
 	kernelCounters.scans.Add(1)
 	acc := getAccumulator(seg.NumDocs())
 	docLens := seg.DocLens(p.query.Field)
-	its := acc.iters(len(p.terms))
-	for i := range p.terms {
-		its[i] = seg.PostingsFor(p.query.Field, p.terms[i].term)
-	}
-	// Filtered queries cannot prune: the floor would bound the
-	// unfiltered k-th score, which can exceed the filtered one.
-	prune := p.prunable && k > 0 && filter == nil
-	var c scanCounters
-	var rem []float64
-	if prune {
-		c.pruned = true
-		rem = acc.remBuf(len(p.terms))
-		tail := 0.0
-		for i := len(p.terms) - 1; i >= 0; i-- {
-			rem[i] = tail
-			tail += p.termBound(&p.terms[i], its[i].MaxTF())
-		}
-		acc.floorK = k
-		acc.floorH = acc.floorH[:0]
-	}
+	blocks := int64(0)
 	expired := false
 	for i := range p.terms {
-		if expired {
-			break
-		}
 		kt := &p.terms[i]
-		it := &its[i]
-		switch p.kind {
-		case kindBM25:
-			scored, skippedAny := false, false
-			for {
-				if b.Expired() {
-					expired = true
-					break
-				}
-				_, blockMax, ok := it.BlockBound()
-				if !ok {
-					break
-				}
-				n := 0
-				if prune {
-					var skipped bool
-					n, skipped = skipBlock(acc, it, p.termBound(kt, blockMax)+rem[i], &c)
-					if skipped {
-						skippedAny = true
-						continue
-					}
-				}
-				// A failed skip has already consumed the doc run into
-				// acc.docBuf (n > 0); otherwise decode it now.
-				if n == 0 {
-					n = it.DecodeBlockDocs(acc.docBuf[:])
-				}
-				it.DecodeBlockTFs(acc.tfBuf[:n])
+		it := seg.PostingsFor(p.query.Field, kt.term)
+		for {
+			if b.Expired() {
+				expired = true
+				break
+			}
+			n := it.NextBlock(acc.docBuf[:], acc.tfBuf[:])
+			if n == 0 {
+				break
+			}
+			blocks++
+			switch p.kind {
+			case kindBM25:
 				for j := 0; j < n; j++ {
 					d := acc.docBuf[j]
 					tf := float64(acc.tfBuf[j])
 					norm := kt.k1 * (kt.oneMinusB + kt.b*float64(docLens[d])/kt.maxAvg)
 					acc.add(d, kt.wIdf*(tf*kt.k1p1)/(tf+norm))
 				}
-				c.blocksScored++
-				scored = true
-			}
-			if skippedAny && !scored {
-				c.termsSkipped++
-			}
-		case kindTFIDF:
-			scored, skippedAny := false, false
-			for {
-				if b.Expired() {
-					expired = true
-					break
-				}
-				_, blockMax, ok := it.BlockBound()
-				if !ok {
-					break
-				}
-				n := 0
-				if prune {
-					var skipped bool
-					n, skipped = skipBlock(acc, it, p.termBound(kt, blockMax)+rem[i], &c)
-					if skipped {
-						skippedAny = true
-						continue
-					}
-				}
-				if n == 0 {
-					n = it.DecodeBlockDocs(acc.docBuf[:])
-				}
-				it.DecodeBlockTFs(acc.tfBuf[:n])
+			case kindTFIDF:
 				for j := 0; j < n; j++ {
 					d := acc.docBuf[j]
 					ltf := 1 + math.Log(float64(acc.tfBuf[j]))
 					acc.add(d, kt.weight*ltf*kt.idf/math.Sqrt(math.Max(float64(docLens[d]), 1)))
 				}
-				c.blocksScored++
-				scored = true
-			}
-			if skippedAny && !scored {
-				c.termsSkipped++
-			}
-		case kindDirichlet:
-			for {
-				if b.Expired() {
-					expired = true
-					break
-				}
-				n := it.NextBlock(acc.docBuf[:], acc.tfBuf[:])
-				if n == 0 {
-					break
-				}
+			case kindDirichlet:
 				for j := 0; j < n; j++ {
 					d := acc.docBuf[j]
 					if kt.zero {
@@ -737,48 +515,28 @@ func (p *PreparedQuery) scoreSegment(b *overload.Budget, seg *index.Index, globa
 					}
 					acc.add(d, kt.weight*math.Log(1+float64(acc.tfBuf[j])/kt.muPc))
 				}
-			}
-		default: // kindGeneric: per-posting interface dispatch
-			st := p.stats[kt.ti]
-			for {
-				if b.Expired() {
-					expired = true
-					break
-				}
-				n := it.NextBlock(acc.docBuf[:], acc.tfBuf[:])
-				if n == 0 {
-					break
-				}
+			default: // kindGeneric: per-posting interface dispatch
+				st := p.stats[kt.ti]
 				for j := 0; j < n; j++ {
 					d := acc.docBuf[j]
 					acc.add(d, p.scorer.TermScore(st, int(acc.tfBuf[j]), int(docLens[d])))
 				}
 			}
 		}
+		if expired {
+			break
+		}
 	}
-	acc.floorK = 0
-	// Drop the iterators' views into the segment blob so a pooled
-	// accumulator never pins a retired segment's memory.
-	clear(its)
-	c.flush()
+	kernelCounters.blocksScored.Add(blocks)
 	if expired {
 		putAccumulator(acc)
 		return SegmentResult{}, overload.ErrDeadlineExceeded
 	}
-	if k <= 0 {
-		k = len(acc.touched)
-		if k == 0 {
-			k = 1
-		}
-	}
-	top := getTopK(k)
-	candidates := 0
+	keys := acc.keys[:0]
 	for _, d := range acc.touched {
-		id := seg.ExternalID(d)
-		if filter != nil && !filter(id) {
+		if filter != nil && !filter(seg.ExternalID(d)) {
 			continue
 		}
-		candidates++
 		score := acc.scores[d]
 		switch p.kind {
 		case kindDirichlet:
@@ -788,10 +546,22 @@ func (p *PreparedQuery) scoreSegment(b *overload.Budget, seg *index.Index, globa
 			// BM25 and TFIDF have no per-document correction; skipping the
 			// +0 add is exact because accumulated scores are never -0.
 		}
-		top.Offer(Hit{Doc: globalID(d), ID: id, Score: score})
+		keys = append(keys, rankKey{score: score, doc: d})
 	}
-	hits := top.AppendRanked(getHits())
-	putTopK(top)
+	candidates := len(keys)
+	if k > 0 && k < len(keys) {
+		keys = acc.cut(keys, k)
+	}
+	slices.SortFunc(keys, rankKeyCompare)
+	hits := getHits()
+	for _, key := range keys {
+		hits = append(hits, Hit{Doc: globalID(key.doc), ID: seg.ExternalID(key.doc), Score: key.score})
+	}
+	fixTieRuns(hits)
+	if k > 0 && len(hits) > k {
+		hits = hits[:k]
+	}
+	acc.keys = keys[:0]
 	putAccumulator(acc)
 	return SegmentResult{Hits: hits, Candidates: candidates}, nil
 }

@@ -342,18 +342,26 @@ func TestWeightedHits(t *testing.T) {
 }
 
 func TestRescore(t *testing.T) {
-	in := []Hit{{ID: "a", Score: 1}, {ID: "b", Score: 0.9}}
-	out := Rescore(in, 1.0, func(id string) float64 {
-		if id == "b" {
+	hits := []Hit{{ID: "a", Score: 1}, {ID: "b", Score: 0.75}, {ID: "c", Score: 0.5}}
+	boostB := func(h Hit) float64 {
+		if h.ID == "b" {
 			return 0.5
 		}
 		return 0
-	})
-	if out[0].ID != "b" {
-		t.Errorf("rescore top = %s, want b", out[0].ID)
 	}
-	if in[0].ID != "a" {
-		t.Error("Rescore mutated input")
+	Rescore(hits, 1.0, boostB)
+	if got := []string{hits[0].ID, hits[1].ID, hits[2].ID}; !reflect.DeepEqual(got, []string{"b", "a", "c"}) {
+		t.Errorf("rescored order = %v, want [b a c]", got)
+	}
+	if hits[0].Score != 1.25 {
+		t.Errorf("rescored top score = %v, want 1.25", hits[0].Score)
+	}
+	// A boost that keeps rank order rescores in place without moving
+	// any hit; ties still rank by ID.
+	hits = []Hit{{ID: "x", Score: 2}, {ID: "a", Score: 1}, {ID: "b", Score: 1}}
+	Rescore(hits, 1.0, func(h Hit) float64 { return 0.25 })
+	if got := []string{hits[0].ID, hits[1].ID, hits[2].ID}; !reflect.DeepEqual(got, []string{"x", "a", "b"}) || hits[2].Score != 1.25 {
+		t.Errorf("order-keeping rescore = %+v", hits)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // SegmentResult is one segment's contribution to a query: its local
-// top-k (already fully scored, with global doc IDs) and how many of
+// top-k (fully scored, in rank order, with global doc IDs) and how many of
 // its documents matched at least one query term after filtering.
 type SegmentResult struct {
 	Hits       []Hit
@@ -30,7 +30,9 @@ type SegmentSearcher interface {
 	NumDocs() int
 	// SearchSegment scores the segment with the compiled query (which
 	// carries the precomputed global term statistics), applies filter,
-	// and returns the segment's k best hits. k <= 0 means "all
+	// and returns the segment's k best hits in rank order (score
+	// descending, ties by ascending ID) — the engine merges the lists
+	// without re-sorting them. k <= 0 means "all
 	// candidates" (used when a filter must be applied by the caller
 	// instead). ctx carries cancellation and the query's trace (when
 	// one is active); remote segments propagate both across the RPC
@@ -126,8 +128,10 @@ func (e *Engine) runSegment(ctx context.Context, i int, p *PreparedQuery,
 	return segmentOutcome{res: res}
 }
 
-// segmentOutcome is one segment's execution result inside a fan-out.
+// segmentOutcome is one segment's execution result inside a fan-out;
+// next is the merge's cursor into res.Hits.
 type segmentOutcome struct {
-	res SegmentResult
-	err error
+	res  SegmentResult
+	err  error
+	next int
 }

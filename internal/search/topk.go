@@ -26,16 +26,14 @@ func hitCompare(a, b Hit) int {
 // streaming alternative to sorting a full candidate list and cutting
 // it to K (O(n log k) instead of O(n log n), and O(k) memory). Because
 // (score desc, ID asc) is a total order, the kept set — and therefore
-// Ranked's output — is independent of Offer order, which is what lets
-// parallel segment scorers merge without re-sorting candidates.
+// Ranked's output — is independent of Offer order. Fusion, the graph
+// recommenders and the merge tier's filtered remote path collect
+// through it; the scoring kernel and the engine merge select on
+// pointer-free keys and ranked lists instead.
 //
 // The heap is hand-rolled over []Hit rather than container/heap: the
 // standard interface moves elements through `any`, which boxes every
-// offered Hit onto the heap — one allocation per candidate document on
-// the scoring hot path.
-//
-// A TopK is single-goroutine; merge concurrent producers by offering
-// their Ranked() outputs into one final TopK.
+// offered Hit onto the heap. A TopK is single-goroutine.
 type TopK struct {
 	k    int
 	heap []Hit // min-heap by rank quality: heap[0] is the worst kept hit
@@ -43,13 +41,6 @@ type TopK struct {
 
 // NewTopK returns an empty collector bounded to the k best hits.
 func NewTopK(k int) *TopK { return &TopK{k: k} }
-
-// Reset re-arms the collector for a new bound, keeping the underlying
-// heap storage (the kernel recycles TopKs through a pool).
-func (t *TopK) Reset(k int) {
-	t.k = k
-	t.heap = t.heap[:0]
-}
 
 // Offer considers one hit.
 func (t *TopK) Offer(h Hit) {
@@ -104,30 +95,11 @@ func (t *TopK) down(i int) {
 // Len reports how many hits are currently kept.
 func (t *TopK) Len() int { return len(t.heap) }
 
-// Floor returns the worst kept score and whether the collector is full
-// (Len() == k). Once full, no hit scoring strictly below the floor can
-// enter the kept set — the threshold block-max early termination in
-// the scoring kernel prunes against.
-func (t *TopK) Floor() (float64, bool) {
-	if t.k <= 0 || len(t.heap) < t.k {
-		return 0, false
-	}
-	return t.heap[0].Score, true
-}
-
 // Ranked extracts the kept hits in final rank order (the collector is
 // left intact). The result is never nil, so an empty ranking encodes
 // as [] on the JSON surfaces.
 func (t *TopK) Ranked() []Hit {
-	return t.AppendRanked(make([]Hit, 0, len(t.heap)))
-}
-
-// AppendRanked appends the kept hits in final rank order to dst and
-// returns the extended slice — the allocation-free form of Ranked for
-// callers recycling hit slices through a pool.
-func (t *TopK) AppendRanked(dst []Hit) []Hit {
-	start := len(dst)
-	dst = append(dst, t.heap...)
-	slices.SortFunc(dst[start:], hitCompare)
-	return dst
+	out := append(make([]Hit, 0, len(t.heap)), t.heap...)
+	slices.SortFunc(out, hitCompare)
+	return out
 }
