@@ -247,6 +247,7 @@ const (
 	garbageErrorStatus        // 500 with an error envelope
 	garbageBadContent         // 200 valid frame, text/html content type
 	garbageFlap               // search RPCs in alternating runs of 8: passed through, then truncated
+	garbageUnranked           // 200 valid frame, hits out of rank order
 )
 
 func (g *garbageSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -284,6 +285,9 @@ func (g *garbageSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		segment = 9999
 	case garbageFewCands:
 		candidates = 0
+	case garbageUnranked:
+		hits = append(hits, WireHit{Doc: 2, ID: "s0002", Score: 2})
+		candidates = len(hits)
 	}
 	frame := appendSearchResponse(nil, segment, hits, candidates)
 	contentType := ContentTypeBinary
@@ -329,6 +333,7 @@ func TestGarbageBackend(t *testing.T) {
 		{"candidates below hits", garbageFewCands, ErrBadResponse},
 		{"error status", garbageErrorStatus, ErrBackendStatus},
 		{"wrong content type", garbageBadContent, ErrBadResponse},
+		{"hits out of rank order", garbageUnranked, ErrBadResponse},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -11,8 +11,9 @@ import (
 )
 
 // SegmentResult is one segment's contribution to a query: its local
-// top-k (fully scored, in rank order, with global doc IDs) and how many of
-// its documents matched at least one query term after filtering.
+// top-k (fully scored, in rank order, with global doc IDs) and how
+// many of its documents matched at least one query term after
+// filtering.
 type SegmentResult struct {
 	Hits       []Hit
 	Candidates int

@@ -92,9 +92,6 @@ func (t *TopK) down(i int) {
 	}
 }
 
-// Len reports how many hits are currently kept.
-func (t *TopK) Len() int { return len(t.heap) }
-
 // Ranked extracts the kept hits in final rank order (the collector is
 // left intact). The result is never nil, so an empty ranking encodes
 // as [] on the JSON surfaces.
