@@ -93,6 +93,11 @@ func TestFullLoop(t *testing.T) {
 	if page.Hits[0].Category == "" || page.Hits[0].Seconds <= 0 {
 		t.Errorf("hit missing metadata: %+v", page.Hits[0])
 	}
+	for i, h := range page.Hits {
+		if h.Rank != i {
+			t.Errorf("hit %d rank = %d", i, h.Rank)
+		}
+	}
 
 	top := page.Hits[0].ShotID
 	n, err := c.SendEvents(ctx, id, []ilog.Event{
@@ -135,6 +140,10 @@ func TestFullLoop(t *testing.T) {
 	}
 	if _, err := c.Session(ctx, id); !client.IsNotFound(err) {
 		t.Errorf("after delete: %v", err)
+	}
+	// An unknown session surfaces as APIError, not a broken page.
+	if _, err := c.Search(ctx, client.SearchRequest{SessionID: "ghost", Query: "x"}); !client.IsNotFound(err) {
+		t.Errorf("ghost search err = %v", err)
 	}
 }
 

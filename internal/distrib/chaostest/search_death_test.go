@@ -1,15 +1,15 @@
 package chaostest
 
-// The mid-stream death suite: what an API client (and the front-tier
-// router proxying it) observes when a segment backend dies while an
-// NDJSON search stream is being produced. The serving contract is
-// complete-page-or-typed-error: because the merge tier finishes the
-// whole scatter/gather before the first NDJSON byte is written, a
-// backend death can only ever surface as an error envelope — never as
-// a torn stream that parses halfway.
+// The backend-death suite: what an API client (and the front-tier
+// router proxying it) observes when a segment backend dies during a
+// search. The serving contract is complete-page-or-typed-error:
+// because the merge tier finishes the whole scatter/gather before the
+// first response byte is written, a backend death can only ever
+// surface as an error envelope — never as a torn page that parses
+// halfway.
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -27,9 +27,9 @@ import (
 	"repro/internal/webapi"
 )
 
-// streamTier is a full serving stack over injector-wrapped segment
+// searchTier is a full serving stack over injector-wrapped segment
 // backends: chaos-capable segment tier → merge tier → webapi → router.
-type streamTier struct {
+type searchTier struct {
 	backends [][]*Backend // group → replicas
 	cluster  *distrib.Cluster
 	serve    *httptest.Server
@@ -38,7 +38,7 @@ type streamTier struct {
 	query    string
 }
 
-func newStreamTier(t *testing.T, replicas int) *streamTier {
+func newSearchTier(t *testing.T, replicas int) *searchTier {
 	t.Helper()
 	arch, err := synth.Generate(synth.TinyConfig(), 31)
 	if err != nil {
@@ -48,7 +48,7 @@ func newStreamTier(t *testing.T, replicas int) *streamTier {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &streamTier{}
+	st := &searchTier{}
 	desc := &distrib.TopologyDesc{Version: distrib.TopologyVersion}
 	for ord := 0; ord < 2; ord++ {
 		var reps []*Backend
@@ -72,7 +72,7 @@ func newStreamTier(t *testing.T, replicas int) *streamTier {
 		t.Fatal(err)
 	}
 	t.Cleanup(st.cluster.Close)
-	// No result cache: every stream request must really scatter to the
+	// No result cache: every search must really scatter to the
 	// (possibly faulted) backends instead of replaying a cached page.
 	sys, err := core.NewSystem(st.cluster.NewEngine(nil, 2), arch.Collection, core.Config{})
 	if err != nil {
@@ -107,23 +107,25 @@ func newStreamTier(t *testing.T, replicas int) *streamTier {
 	return st
 }
 
-// fetchStream GETs the NDJSON stream endpoint and classifies the raw
-// body. Returns (complete, envelope): complete means a 200 whose body
-// is well-formed NDJSON closed by a summary line; envelope means a
-// non-200 whose body is one well-formed error envelope. Anything else
-// — a 200 body that stops without its summary line, a line that does
-// not parse, trailing garbage — fails the test: that is a torn body.
-func (st *streamTier) fetchStream(t *testing.T, base string) (complete, envelope bool) {
+// fetchPage GETs one search page and classifies the raw body.
+// Returns (complete, envelope): complete means a 200 whose body is
+// exactly one JSON page, as long as its Content-Length says, with total
+// ≥ len(hits); envelope means a non-200 whose body is one well-formed
+// error envelope. Anything else — a short or over-long body, a page
+// that does not parse, trailing bytes — fails the test: that is a torn
+// body. Five hits keep the page under net/http's pre-chunking buffer,
+// so serve sends it sized and the router relays that size.
+func (st *searchTier) fetchPage(t *testing.T, base string) (complete, envelope bool) {
 	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("%s/api/v1/search/stream?session=%s&q=%s",
+	resp, err := http.Get(fmt.Sprintf("%s/api/v1/search?session=%s&q=%s&limit=5",
 		base, st.sid, strings.ReplaceAll(st.query, " ", "+")))
 	if err != nil {
-		t.Fatalf("stream request: %v", err)
+		t.Fatalf("search request: %v", err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("stream body died mid-read (torn body): %v", err)
+		t.Fatalf("search body died mid-read (torn body): %v", err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var env struct {
@@ -137,68 +139,62 @@ func (st *streamTier) fetchStream(t *testing.T, base string) (complete, envelope
 		}
 		return false, true
 	}
-	sc := bufio.NewScanner(strings.NewReader(string(body)))
-	sawSummary := false
-	for sc.Scan() {
-		if sawSummary {
-			t.Fatalf("NDJSON line after the summary terminator: %q", sc.Text())
-		}
-		var line struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("torn NDJSON line %q: %v", sc.Text(), err)
-		}
-		switch line.Type {
-		case "hit":
-		case "summary":
-			sawSummary = true
-		default:
-			t.Fatalf("unknown stream line type %q", line.Type)
-		}
+	if resp.ContentLength != int64(len(body)) {
+		t.Fatalf("200 page of %d bytes declared Content-Length %d (torn body)", len(body), resp.ContentLength)
 	}
-	if !sawSummary {
-		t.Fatal("200 NDJSON stream ended without its summary line — torn body")
+	var page struct {
+		Total int               `json:"total"`
+		Hits  []json.RawMessage `json:"hits"`
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if err := dec.Decode(&page); err != nil {
+		t.Fatalf("torn page %q: %v", body, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		t.Fatalf("bytes after the page: %q", body[dec.InputOffset():])
+	}
+	if len(page.Hits) == 0 || page.Total < len(page.Hits) {
+		t.Fatalf("page of %d hits claims total %d", len(page.Hits), page.Total)
 	}
 	return true, false
 }
 
-// TestStreamBackendDeathUnreplicated: with single-replica groups there
+// TestSearchBackendDeathUnreplicated: with single-replica groups there
 // is nowhere to fail over, so a backend tearing its response mid-body
 // must surface as a typed error envelope through both the serve tier
 // and the router — and service must recover the moment the backend
 // heals.
-func TestStreamBackendDeathUnreplicated(t *testing.T) {
-	st := newStreamTier(t, 1)
-	if ok, _ := st.fetchStream(t, st.front.URL); !ok {
-		t.Fatal("clean stream did not complete")
+func TestSearchBackendDeathUnreplicated(t *testing.T) {
+	st := newSearchTier(t, 1)
+	if ok, _ := st.fetchPage(t, st.front.URL); !ok {
+		t.Fatal("clean search did not complete")
 	}
 	for _, mode := range []Mode{Torn, Kill, Garbage} {
 		st.backends[0][0].Injector.Set(mode)
 		for _, base := range []string{st.serve.URL, st.front.URL} {
-			if _, env := st.fetchStream(t, base); !env {
-				t.Fatalf("mode %s via %s: faulted stream did not produce an error envelope", mode, base)
+			if _, env := st.fetchPage(t, base); !env {
+				t.Fatalf("mode %s via %s: faulted search did not produce an error envelope", mode, base)
 			}
 		}
 		st.backends[0][0].Injector.Set(Off)
-		if ok, _ := st.fetchStream(t, st.front.URL); !ok {
-			t.Fatalf("mode %s: stream did not recover after heal", mode)
+		if ok, _ := st.fetchPage(t, st.front.URL); !ok {
+			t.Fatalf("mode %s: search did not recover after heal", mode)
 		}
 	}
 }
 
-// TestStreamBackendDeathReplicated: with a twin per group the same
-// faults are absorbed by failover — every stream completes through the
+// TestSearchBackendDeathReplicated: with a twin per group the same
+// faults are absorbed by failover — every search completes through the
 // router, zero failed requests, while the victim is dead and after a
 // live topology reload re-admits it.
-func TestStreamBackendDeathReplicated(t *testing.T) {
-	st := newStreamTier(t, 2)
+func TestSearchBackendDeathReplicated(t *testing.T) {
+	st := newSearchTier(t, 2)
 	victim := st.backends[0][0]
 	for _, mode := range []Mode{Torn, Kill, Garbage, Flap} {
 		victim.Injector.Set(mode)
 		for i := 0; i < 3; i++ {
-			if ok, _ := st.fetchStream(t, st.front.URL); !ok {
-				t.Fatalf("mode %s: stream %d failed despite a healthy twin", mode, i)
+			if ok, _ := st.fetchPage(t, st.front.URL); !ok {
+				t.Fatalf("mode %s: search %d failed despite a healthy twin", mode, i)
 			}
 		}
 		victim.Injector.Set(Off)
@@ -226,20 +222,20 @@ func TestStreamBackendDeathReplicated(t *testing.T) {
 	if status := post(); status != http.StatusBadRequest {
 		t.Fatalf("admin POST naming a dead replica: status %d, want 400", status)
 	}
-	if ok, _ := st.fetchStream(t, st.front.URL); !ok {
-		t.Fatal("stream failed after a rejected reload")
+	if ok, _ := st.fetchPage(t, st.front.URL); !ok {
+		t.Fatal("search failed after a rejected reload")
 	}
 	victim.Injector.Set(Off)
 	if status := post(); status != http.StatusOK {
 		t.Fatalf("admin POST after replica restart: status %d, want 200", status)
 	}
-	if ok, _ := st.fetchStream(t, st.front.URL); !ok {
-		t.Fatal("stream failed after live reload re-admitted the replica")
+	if ok, _ := st.fetchPage(t, st.front.URL); !ok {
+		t.Fatal("search failed after live reload re-admitted the replica")
 	}
 }
 
 // clusterDesc rebuilds the descriptor for the current backend layout.
-func (st *streamTier) clusterDesc() *distrib.TopologyDesc {
+func (st *searchTier) clusterDesc() *distrib.TopologyDesc {
 	desc := &distrib.TopologyDesc{Version: distrib.TopologyVersion}
 	for _, reps := range st.backends {
 		var g distrib.TopologyGroup

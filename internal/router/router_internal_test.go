@@ -88,7 +88,6 @@ func TestSessionIDExtraction(t *testing.T) {
 		want        string
 	}{
 		{"GET", "/api/v1/search?session=s42&q=x", "", "s42"},
-		{"GET", "/api/v1/search/stream?session=s42&q=x", "", "s42"},
 		{"GET", "/api/v1/sessions/s42", "", "s42"},
 		{"DELETE", "/api/v1/sessions/s%2F42", "", "s/42"},
 		{"GET", "/api/v1/sessions", "", ""},

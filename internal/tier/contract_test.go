@@ -5,8 +5,8 @@ package tier_test
 // the same way, byte for byte, because all three call the one chain
 // (trace.HTTPMiddleware), the one gate (overload.Gate) and the one
 // envelope writer (tier.WriteError). One table drives the same cases
-// against the router, serve (page and stream surfaces) and segment
-// handlers on a fake clock — no real sleeps.
+// against the router, serve and segment handlers on a fake clock — no
+// real sleeps.
 
 import (
 	"bytes"
@@ -101,24 +101,21 @@ func newTargets(t *testing.T, clk overload.Clock) []target {
 		t.Fatal(err)
 	}
 	query := url.QueryEscape(arch.Truth.SearchTopics[0].Query)
-	serve := func(path string) target {
-		srv, err := webapi.NewServer(sys, webapi.WithAdmission(adm), webapi.WithOverloadClock(clk))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		tg := target{name: trace.TierServe, handler: srv.Handler(), gate: srv.Gate()}
-		var created struct {
-			SessionID string `json:"session_id"`
-		}
-		rec := tg.do(httptest.NewRequest("POST", "/api/v1/sessions", strings.NewReader("{}")))
-		if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil || created.SessionID == "" {
-			t.Fatalf("create session: %d %s", rec.Code, rec.Body)
-		}
-		tg.search = func() *http.Request {
-			return httptest.NewRequest("GET", path+"?session="+created.SessionID+"&q="+query, nil)
-		}
-		return tg
+	srv, err := webapi.NewServer(sys, webapi.WithAdmission(adm), webapi.WithOverloadClock(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	serve := target{name: trace.TierServe, handler: srv.Handler(), gate: srv.Gate()}
+	var created struct {
+		SessionID string `json:"session_id"`
+	}
+	rec := serve.do(httptest.NewRequest("POST", "/api/v1/sessions", strings.NewReader("{}")))
+	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil || created.SessionID == "" {
+		t.Fatalf("create session: %d %s", rec.Code, rec.Body)
+	}
+	serve.search = func() *http.Request {
+		return httptest.NewRequest("GET", "/api/v1/search?session="+created.SessionID+"&q="+query, nil)
 	}
 
 	sh, err := core.BuildShardedIndex(arch.Collection, nil, 2)
@@ -157,8 +154,7 @@ func newTargets(t *testing.T, clk overload.Clock) []target {
 		{name: trace.TierRouter, handler: rt, search: func() *http.Request {
 			return httptest.NewRequest("GET", "/api/v1/search?session=s&q=x", nil)
 		}},
-		serve("/api/v1/search"),
-		serve("/api/v1/search/stream"),
+		serve,
 		{name: trace.TierSegment, handler: seg.Handler(), gate: seg.Gate(), search: func() *http.Request {
 			req := httptest.NewRequest("POST", distrib.SearchPath, bytes.NewReader(rpcBody))
 			req.Header.Set("Content-Type", distrib.ContentTypeBinary)
