@@ -31,7 +31,6 @@
 //	curl -s -X POST localhost:8080/api/v1/sessions \
 //	     -d '{"user_id":"alice","interests":{"sports":0.9}}'
 //	curl -s 'localhost:8080/api/v1/search?session=SID&q=cup+final&limit=5'
-//	curl -s 'localhost:8080/api/v1/search/stream?session=SID&q=cup+final'
 //	curl -s -X POST localhost:8080/api/v1/events -d '{"session_id":"SID",
 //	     "events":[{"action":"click_keyframe","shot":"v0001_s003","rank":0,
 //	                "session":"SID","t":"2008-01-01T12:00:00Z","topic":-1}]}'

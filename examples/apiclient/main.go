@@ -2,8 +2,8 @@
 // ivrserve-style backend on a loopback port, driven entirely through
 // the typed /api/v1 Go SDK (internal/client). This is the integration
 // every front-end in the paper's framework proposal shares: create a
-// profiled session, search with pagination, stream results as NDJSON,
-// feed implicit evidence back, and watch the next ranking adapt.
+// profiled session, search with pagination, feed implicit evidence
+// back, and watch the next ranking adapt.
 package main
 
 import (
@@ -110,23 +110,20 @@ func main() {
 	}
 	fmt.Printf("server observed %d events\n\n", observed)
 
-	// 5. The next iteration adapts; consume it as an NDJSON stream the
-	//    way a painting front-end would.
-	fmt.Println("adapted ranking (streamed):")
-	summary, err := c.SearchStream(ctx,
-		client.SearchRequest{SessionID: sessionID, Query: topic.Query, Limit: 5},
-		func(h client.Hit) error {
-			moved := " "
-			if h.ShotID == top.ShotID && h.Rank == 0 {
-				moved = "*"
-			}
-			fmt.Printf("  %2d.%s %-16s %.3f  [%s] %s\n", h.Rank+1, moved, h.ShotID, h.Score, h.Category, h.Title)
-			return nil
-		})
+	// 5. The next iteration adapts to that evidence.
+	fmt.Println("adapted ranking:")
+	adapted, err := c.Search(ctx, client.SearchRequest{SessionID: sessionID, Query: topic.Query, Limit: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("stream summary: step %d, %d ranked hits\n\n", summary.Step, summary.Total)
+	for _, h := range adapted.Hits {
+		moved := " "
+		if h.ShotID == top.ShotID && h.Rank == 0 {
+			moved = "*"
+		}
+		fmt.Printf("  %2d.%s %-16s %.3f  [%s] %s\n", h.Rank+1, moved, h.ShotID, h.Score, h.Category, h.Title)
+	}
+	fmt.Printf("step %d, %d ranked hits\n\n", adapted.Step, adapted.Total)
 
 	// 6. Session state shows the accumulated evidence; then hang up.
 	st, err := c.Session(ctx, sessionID)

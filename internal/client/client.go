@@ -18,7 +18,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -275,16 +274,6 @@ type SearchPage struct {
 	Trace *trace.Span `json:"-"`
 }
 
-// StreamSummary closes a streamed search.
-type StreamSummary struct {
-	SessionID  string `json:"session_id"`
-	Query      string `json:"query"`
-	Step       int    `json:"step"`
-	Candidates int    `json:"candidates"`
-	Total      int    `json:"total"`
-	Partial    bool   `json:"partial"`
-}
-
 // Shot is the shot metadata a front-end renders.
 type Shot struct {
 	ShotID     string   `json:"shot_id"`
@@ -403,8 +392,9 @@ func (c *Client) Metrics(ctx context.Context) (*MetricsSnapshot, error) {
 	return &m, nil
 }
 
-// searchQuery encodes the shared search parameters.
-func searchQuery(req SearchRequest) (url.Values, error) {
+// Search runs one adapted retrieval iteration and returns the
+// requested page. Each call advances the session's adaptation step.
+func (c *Client) Search(ctx context.Context, req SearchRequest) (*SearchPage, error) {
 	if req.SessionID == "" || req.Query == "" {
 		return nil, fmt.Errorf("client: search needs SessionID and Query")
 	}
@@ -419,16 +409,6 @@ func searchQuery(req SearchRequest) (url.Values, error) {
 	}
 	if len(req.Categories) > 0 {
 		q.Set("cat", strings.Join(req.Categories, ","))
-	}
-	return q, nil
-}
-
-// Search runs one adapted retrieval iteration and returns the
-// requested page. Each call advances the session's adaptation step.
-func (c *Client) Search(ctx context.Context, req SearchRequest) (*SearchPage, error) {
-	q, err := searchQuery(req)
-	if err != nil {
-		return nil, err
 	}
 	var page SearchPage
 	var opts []doOpt
@@ -446,69 +426,6 @@ func (c *Client) Search(ctx context.Context, req SearchRequest) (*SearchPage, er
 		return nil, err
 	}
 	return &page, nil
-}
-
-// SearchStream runs the same iteration as Search but consumes the
-// NDJSON stream, calling fn for every hit as it arrives. A non-nil fn
-// error aborts the stream and is returned. The closing summary is
-// returned on success.
-func (c *Client) SearchStream(ctx context.Context, req SearchRequest, fn func(Hit) error) (*StreamSummary, error) {
-	q, err := searchQuery(req)
-	if err != nil {
-		return nil, err
-	}
-	httpReq, err := c.newRequest(ctx, http.MethodGet, "/search/stream", q, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient.Do(httpReq)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeAPIError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var summary *StreamSummary
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var l struct {
-			Type string `json:"type"`
-			Hit  *Hit   `json:"hit"`
-			StreamSummary
-		}
-		if err := json.Unmarshal(line, &l); err != nil {
-			return nil, fmt.Errorf("client: bad stream line: %w", err)
-		}
-		switch l.Type {
-		case "hit":
-			if l.Hit == nil {
-				return nil, fmt.Errorf("client: hit line without hit")
-			}
-			if fn != nil {
-				if err := fn(*l.Hit); err != nil {
-					return nil, err
-				}
-			}
-		case "summary":
-			s := l.StreamSummary
-			summary = &s
-		default:
-			return nil, fmt.Errorf("client: unknown stream line type %q", l.Type)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if summary == nil {
-		return nil, fmt.Errorf("client: stream ended without summary")
-	}
-	return summary, nil
 }
 
 // SendEvents feeds a batch of interaction events into a session and

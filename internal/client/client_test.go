@@ -201,43 +201,6 @@ func TestSearchFacet(t *testing.T) {
 	}
 }
 
-func TestSearchStream(t *testing.T) {
-	c, arch := newStack(t)
-	ctx := context.Background()
-	topic := arch.Truth.SearchTopics[0]
-	id, err := c.CreateSession(ctx, client.CreateSessionRequest{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hits []client.Hit
-	sum, err := c.SearchStream(ctx, client.SearchRequest{SessionID: id, Query: topic.Query, Limit: 5},
-		func(h client.Hit) error {
-			hits = append(hits, h)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) == 0 || sum.Total < len(hits) || sum.Step != 1 {
-		t.Fatalf("stream: %d hits, summary %+v", len(hits), sum)
-	}
-	for i, h := range hits {
-		if h.Rank != i {
-			t.Errorf("hit %d rank = %d", i, h.Rank)
-		}
-	}
-	// Callback errors abort the stream and surface to the caller.
-	sentinel := errors.New("stop")
-	if _, err := c.SearchStream(ctx, client.SearchRequest{SessionID: id, Query: topic.Query},
-		func(client.Hit) error { return sentinel }); !errors.Is(err, sentinel) {
-		t.Errorf("callback error = %v, want sentinel", err)
-	}
-	// Unknown session surfaces as APIError, not a broken stream.
-	if _, err := c.SearchStream(ctx, client.SearchRequest{SessionID: "ghost", Query: "x"}, nil); !client.IsNotFound(err) {
-		t.Errorf("ghost stream err = %v", err)
-	}
-}
-
 func TestAPIErrorDetails(t *testing.T) {
 	c, _ := newStack(t)
 	ctx := context.Background()

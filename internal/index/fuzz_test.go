@@ -60,10 +60,11 @@ func FuzzRead(f *testing.F) {
 		if err == nil {
 			// A decoded index must be safe to query: walk every posting.
 			for f := Field(0); f < numFields; f++ {
-				for _, term := range ix.Terms(f) {
+				ix.EachTerm(f, func(term string, _ int, _ int64) bool {
 					for it := ix.Postings(f, term); it.Next(); {
 					}
-				}
+					return true
+				})
 			}
 		}
 		if n := after.TotalAlloc - before.TotalAlloc; n > 64*uint64(len(raw))+1<<20 {
@@ -174,7 +175,7 @@ func TestPostingsIteratorTruncatedBuffer(t *testing.T) {
 func TestPostingsIteratorBlockAPI(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	ix, _ := randomIndex(r, 400, 6) // enough docs to force multi-block terms
-	for _, term := range ix.Terms(FieldText) {
+	ix.EachTerm(FieldText, func(term string, _ int, _ int64) bool {
 		// Reference decode via Next.
 		var wantDocs []DocID
 		var wantTFs []uint32
@@ -235,5 +236,6 @@ func TestPostingsIteratorBlockAPI(t *testing.T) {
 		if pos != len(wantDocs) {
 			t.Fatalf("term %q: block decode saw %d postings, want %d", term, pos, len(wantDocs))
 		}
-	}
+		return true
+	})
 }

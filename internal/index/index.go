@@ -110,19 +110,6 @@ func (ix *Index) TotalFieldLen(f Field) int64 { return int64(ix.fields[f].totalL
 // NumTerms returns the vocabulary size of field f.
 func (ix *Index) NumTerms(f Field) int { return len(ix.fields[f].termList) }
 
-// Terms returns the sorted vocabulary of field f. The returned slice
-// is a fresh copy of the entire dictionary, allocated on every call —
-// O(vocabulary) work and memory — so it is a debugging/inspection
-// surface, not a bulk-statistics path. Anything that needs to walk the
-// vocabulary with its frequencies (the distributed stats dump, metric
-// exports) must use EachTerm, which iterates the frozen dictionary in
-// place without copying it.
-func (ix *Index) Terms(f Field) []string {
-	out := make([]string, len(ix.fields[f].termList))
-	copy(out, ix.fields[f].termList)
-	return out
-}
-
 // EachTerm calls fn for every term of field f in sorted order with its
 // document and collection frequencies, stopping early when fn returns
 // false. It is the bulk form of DocFreq/CollectionFreq used to export

@@ -115,19 +115,14 @@ func TestPostingsRemaining(t *testing.T) {
 	}
 }
 
-func TestTermsSorted(t *testing.T) {
-	ix := buildSmall(t)
-	terms := ix.Terms(FieldText)
-	for i := 1; i < len(terms); i++ {
-		if terms[i-1] >= terms[i] {
-			t.Fatalf("terms not sorted: %v", terms)
-		}
-	}
-	// Mutating the returned slice must not affect the index.
-	terms[0] = "zzz"
-	if ix.Terms(FieldText)[0] == "zzz" {
-		t.Error("Terms returned shared storage")
-	}
+// vocabulary collects field f's sorted terms through EachTerm.
+func vocabulary(ix *Index, f Field) []string {
+	var terms []string
+	ix.EachTerm(f, func(term string, _ int, _ int64) bool {
+		terms = append(terms, term)
+		return true
+	})
+	return terms
 }
 
 func TestEachTerm(t *testing.T) {
@@ -286,13 +281,13 @@ func assertIndexesEqual(t *testing.T, want, got *Index) {
 		}
 	}
 	for f := Field(0); f < numFields; f++ {
-		if !reflect.DeepEqual(got.Terms(f), want.Terms(f)) {
+		if !reflect.DeepEqual(vocabulary(got, f), vocabulary(want, f)) {
 			t.Fatalf("field %v terms differ", f)
 		}
 		if got.AvgDocLen(f) != want.AvgDocLen(f) {
 			t.Fatalf("field %v avgdl differs", f)
 		}
-		for _, term := range want.Terms(f) {
+		for _, term := range vocabulary(want, f) {
 			if got.DocFreq(f, term) != want.DocFreq(f, term) {
 				t.Fatalf("df(%v,%q) differs", f, term)
 			}
@@ -344,7 +339,7 @@ func TestPropertyPostingsReconstructCorpus(t *testing.T) {
 		for i := range recon {
 			recon[i] = map[string]int{}
 		}
-		for _, term := range ix.Terms(FieldText) {
+		for _, term := range vocabulary(ix, FieldText) {
 			it := ix.Postings(FieldText, term)
 			for it.Next() {
 				recon[it.Doc()][term] += it.TF()
@@ -381,7 +376,7 @@ func TestPropertyPersistRoundTrip(t *testing.T) {
 		if got.NumDocs() != ix.NumDocs() {
 			return false
 		}
-		for _, term := range ix.Terms(FieldText) {
+		for _, term := range vocabulary(ix, FieldText) {
 			a, b := ix.Postings(FieldText, term), got.Postings(FieldText, term)
 			for a.Next() {
 				if !b.Next() || a.Doc() != b.Doc() || a.TF() != b.TF() {
@@ -405,7 +400,7 @@ func TestPropertyPostingsSorted(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		ix, _ := randomIndex(r, 1+r.Intn(60), 15)
 		for f := Field(0); f < numFields; f++ {
-			for _, term := range ix.Terms(f) {
+			for _, term := range vocabulary(ix, f) {
 				it := ix.Postings(f, term)
 				last := -1
 				for it.Next() {
@@ -466,7 +461,7 @@ func BenchmarkBuild1k(b *testing.B) {
 func BenchmarkPostingsScan(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
 	ix, _ := randomIndex(r, 5000, 100)
-	terms := ix.Terms(FieldText)
+	terms := vocabulary(ix, FieldText)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -80,7 +80,7 @@ func TestShardedGlobalStatsMatchSingle(t *testing.T) {
 			if sh.AvgDocLen(f) != single.AvgDocLen(f) {
 				t.Errorf("n=%d f=%s: AvgDocLen %v vs %v", n, f, sh.AvgDocLen(f), single.AvgDocLen(f))
 			}
-			for _, term := range single.Terms(f) {
+			for _, term := range vocabulary(single, f) {
 				if sh.DocFreq(f, term) != single.DocFreq(f, term) {
 					t.Errorf("n=%d: df(%s) %d vs %d", n, term, sh.DocFreq(f, term), single.DocFreq(f, term))
 				}
@@ -129,7 +129,7 @@ func TestShardedSegmentsSelfContained(t *testing.T) {
 	// Per-segment df never exceeds the global df.
 	for i := 0; i < sh.NumSegments(); i++ {
 		seg := sh.Segment(i)
-		for _, term := range seg.Terms(FieldText) {
+		for _, term := range vocabulary(seg, FieldText) {
 			if seg.DocFreq(FieldText, term) > sh.DocFreq(FieldText, term) {
 				t.Errorf("segment %d df(%s) exceeds global", i, term)
 			}

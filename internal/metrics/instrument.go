@@ -6,8 +6,7 @@ import (
 )
 
 // StatusRecorder captures the response status code for request
-// telemetry and logging. It forwards Flush so streaming handlers keep
-// working behind it.
+// telemetry and logging.
 type StatusRecorder struct {
 	http.ResponseWriter
 	status      int
@@ -58,13 +57,6 @@ func (r *StatusRecorder) Write(p []byte) (int, error) {
 		r.status = http.StatusOK
 	}
 	return r.ResponseWriter.Write(p)
-}
-
-// Flush forwards streaming flushes (NDJSON endpoints need it).
-func (r *StatusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // Instrument wraps one route's handler with telemetry: the route's

@@ -162,11 +162,11 @@ func New(cfg Config) (*Router, error) {
 	})
 	if rt.client == nil {
 		// Every timeout is bounded explicitly: dials and header waits
-		// cannot hang forever on a wedged replica. There is deliberately
-		// no whole-request Timeout — NDJSON search streams may legally
-		// outlive any fixed cap, and per-request deadline budgets (plus
-		// the client's own context) bound the slow cases.
-		rt.client = &http.Client{Transport: &http.Transport{
+		// cannot hang forever on a wedged replica, and a replica that
+		// stalls mid-body cannot pin a proxy goroutine past the longest
+		// budget any request may legally carry. Per-request deadline
+		// budgets (plus the client's own context) bound the usual cases.
+		rt.client = &http.Client{Timeout: overload.MaxBudget, Transport: &http.Transport{
 			DialContext: (&net.Dialer{
 				Timeout:   5 * time.Second,
 				KeepAlive: 30 * time.Second,
@@ -390,7 +390,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 	// so a re-routed request carries only what is left of the original
 	// budget, and lower tiers never see it grow.
 	var mint time.Duration
-	if strings.HasPrefix(r.URL.Path, "/api/v1/search") {
+	if r.URL.Path == "/api/v1/search" {
 		mint = rt.cfg.SearchDeadline
 	}
 	ctx, release, ok := rt.gate.Enter(w, r, mint)
@@ -517,7 +517,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, rep *replica, 
 	// Relay everything else verbatim, including application errors.
 	copyHeaders(w.Header(), resp.Header)
 	w.WriteHeader(resp.StatusCode)
-	flushingCopy(w, resp.Body)
+	io.Copy(w, resp.Body)
 	return true, false
 }
 
@@ -531,34 +531,10 @@ func isDrainingResponse(resp *http.Response) bool {
 	if err != nil {
 		return false
 	}
-	// The body is consumed either way; stash it back for the relay
-	// path? Not needed: callers only relay when this returns false,
-	// and a false return here means the 503 body was already read —
-	// so re-wrap it for the caller.
+	// A false return relays this 503, so put back the prefix read here.
 	resp.Body = io.NopCloser(bytes.NewReader(data))
 	var env tier.ErrorEnvelope
 	return json.Unmarshal(data, &env) == nil && env.Error.Code == tier.CodeDraining
-}
-
-// flushingCopy streams body to w, flushing after every chunk so NDJSON
-// search streams flow through the proxy hit by hit.
-func flushingCopy(w http.ResponseWriter, body io.Reader) {
-	f, _ := w.(http.Flusher)
-	buf := make([]byte, 32*1024)
-	for {
-		n, err := body.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return
-			}
-			if f != nil {
-				f.Flush()
-			}
-		}
-		if err != nil {
-			return
-		}
-	}
 }
 
 // --- health probing ---

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/overload"
 )
 
 // newIdleRouter builds a router whose probe loop is effectively
@@ -167,8 +169,9 @@ func TestIsDrainingResponse(t *testing.T) {
 // bare &http.Client{} the router once shipped with: a wedged replica
 // that accepted connections but never answered could pin proxy
 // goroutines forever. The default client must bound dial and
-// response-header waits (but deliberately not the whole request, so
-// NDJSON streams can run long).
+// response-header waits, and the whole request at overload.MaxBudget:
+// no legal deadline budget is longer, so the cap cuts no legal request
+// while a replica that stalls mid-body still lets go.
 func TestDefaultClientHasBoundedTimeouts(t *testing.T) {
 	rt, err := New(Config{Replicas: []string{"http://a:1"}, ProbeInterval: time.Hour})
 	if err != nil {
@@ -188,7 +191,7 @@ func TestDefaultClientHasBoundedTimeouts(t *testing.T) {
 	if tr.TLSHandshakeTimeout <= 0 {
 		t.Fatal("default transport does not bound the TLS handshake")
 	}
-	if rt.client.Timeout != 0 {
-		t.Fatal("default client sets a whole-request timeout, which would cut long NDJSON streams")
+	if rt.client.Timeout != overload.MaxBudget {
+		t.Fatalf("default client whole-request timeout = %v, want overload.MaxBudget (%v)", rt.client.Timeout, overload.MaxBudget)
 	}
 }

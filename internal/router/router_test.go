@@ -149,13 +149,27 @@ func TestRouterAffinity(t *testing.T) {
 			t.Fatalf("search %d served by %s, owner is %s (affinity broken)", i, rep, owner.id)
 		}
 	}
+	// The retired stream path is unmatched: the owner answers the
+	// envelope 404 and the router relays it.
+	resp, err := http.Get(tr.front.URL + "/api/v1/search/stream?session=" + sid + "&q=" + strings.ReplaceAll(q, " ", "+"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Error struct{ Code string } `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || err != nil || env.Error.Code != "not_found" {
+		t.Fatalf("stream path: status %d, envelope %+v (%v), want the 404 not_found envelope", resp.StatusCode, env, err)
+	}
 	// Session-state reads extract the ID from the path...
 	if rep, status := tr.servedBy(t, "/api/v1/sessions/"+sid); status != http.StatusOK || rep != owner.id {
 		t.Fatalf("session read: status %d via %s, want 200 via %s", status, rep, owner.id)
 	}
 	// ...and event batches from the JSON body. The batch is invalid
 	// (empty), but even the 400 must come from the session's owner.
-	resp, err := http.Post(tr.front.URL+"/api/v1/events", "application/json",
+	resp, err = http.Post(tr.front.URL+"/api/v1/events", "application/json",
 		strings.NewReader(`{"session_id":"`+sid+`","events":[]}`))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package webapi exposes the adaptive retrieval system over a
 // versioned HTTP/JSON API: the concrete "desktop interface" backend
 // the paper's framework proposal sketches. A front-end creates a
-// session, searches (with pagination or NDJSON streaming), and feeds
+// session, searches (one paginated page per iteration), and feeds
 // interaction events back; the server adapts subsequent rankings per
 // session. Session ownership lives in core.SessionManager, so many
 // front-ends can search concurrently without serializing on a global
@@ -16,8 +16,6 @@
 //	DELETE /api/v1/sessions/{id}                  end a session
 //	GET    /api/v1/search?session=&q=             adapted search; &offset=&limit= paginate,
 //	                                              &cat=a,b facets by category
-//	GET    /api/v1/search/stream?session=&q=      same search, streamed as NDJSON
-//	                                              ({"type":"hit"}... then {"type":"summary"})
 //	POST   /api/v1/events                         feed a batch of interaction events
 //	GET    /api/v1/shots/{id}                     shot metadata
 //	GET    /api/v1/healthz                        liveness + session stats
@@ -290,7 +288,6 @@ func (s *Server) routes() http.Handler {
 	handle("GET /api/v1/sessions/{id}", s.handleGetSession)
 	handle("DELETE /api/v1/sessions/{id}", s.handleDeleteSession)
 	handle("GET /api/v1/search", s.handleSearch)
-	handle("GET /api/v1/search/stream", s.handleSearchStream)
 	handle("POST /api/v1/events", s.handleEvents)
 	handle("GET /api/v1/shots/{id}", s.handleShot)
 	handle("GET /api/v1/healthz", s.handleHealthz)
@@ -723,7 +720,7 @@ func parsePageParams(w http.ResponseWriter, r *http.Request) (offset, limit int,
 	return offset, limit, true
 }
 
-// parseSearchParams validates the common search query string; on
+// parseSearchParams validates the search query string; on
 // error it has already written the 400 envelope.
 func (s *Server) parseSearchParams(w http.ResponseWriter, r *http.Request) (searchParams, bool) {
 	p := searchParams{
@@ -846,65 +843,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	_, enc := trace.StartSpan(r.Context(), "encode")
 	tier.WriteJSON(w, http.StatusOK, page)
 	enc.End()
-}
-
-// streamLine is one NDJSON line of the streaming search endpoint:
-// a sequence of {"type":"hit"} lines closed by one {"type":"summary"}.
-type streamLine struct {
-	Type string `json:"type"`
-	// Hit is set on "hit" lines.
-	Hit *searchHit `json:"hit,omitempty"`
-	// Summary fields, set on the final "summary" line.
-	SessionID  string `json:"session_id,omitempty"`
-	Query      string `json:"query,omitempty"`
-	Step       int    `json:"step,omitempty"`
-	Candidates int    `json:"candidates,omitempty"`
-	Total      int    `json:"total,omitempty"`
-	Partial    bool   `json:"partial,omitempty"`
-}
-
-// handleSearchStream serves the same ranking as handleSearch but as
-// NDJSON, flushing per hit so a front-end can paint results as they
-// arrive (offset/limit window the stream too).
-func (s *Server) handleSearchStream(w http.ResponseWriter, r *http.Request) {
-	p, ok := s.parseSearchParams(w, r)
-	if !ok {
-		return
-	}
-	ctx, release, ok := s.gate.Enter(w, r, 0)
-	if !ok {
-		return
-	}
-	defer release()
-	page, err := s.runSearch(ctx, p)
-	if err != nil {
-		s.writeSearchErr(w, err, p.sessionID)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	for i := range page.Hits {
-		if err := enc.Encode(streamLine{Type: "hit", Hit: &page.Hits[i]}); err != nil {
-			return // client went away
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	_ = enc.Encode(streamLine{
-		Type:       "summary",
-		SessionID:  page.SessionID,
-		Query:      page.Query,
-		Step:       page.Step,
-		Candidates: page.Candidates,
-		Total:      page.Total,
-		Partial:    page.Partial,
-	})
-	if flusher != nil {
-		flusher.Flush()
-	}
 }
 
 // eventsRequest feeds a batch of interaction events into a session.

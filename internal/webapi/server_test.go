@@ -1,7 +1,6 @@
 package webapi
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -191,9 +190,12 @@ func TestSearchAndAdapt(t *testing.T) {
 		} `json:"hits"`
 	}
 	url := fmt.Sprintf("%s/api/v1/search?session=%s&q=%s&limit=5", ts.URL, id, strings.ReplaceAll(topic.Query, " ", "+"))
-	doJSON(t, "GET", url, nil, http.StatusOK, &res)
-	if len(res.Hits) == 0 || res.Step != 1 {
+	resp := doJSON(t, "GET", url, nil, http.StatusOK, &res)
+	if len(res.Hits) == 0 || res.Step != 1 || res.Total < len(res.Hits) {
 		t.Fatalf("search response: %+v", res)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("content type = %q", ct)
 	}
 	if res.Hits[0].Category == "" {
 		t.Error("hits missing story metadata")
@@ -284,63 +286,6 @@ func TestSearchPagination(t *testing.T) {
 	}
 }
 
-func TestSearchStreamNDJSON(t *testing.T) {
-	ts, arch, _ := newTestServer(t)
-	id := createSession(t, ts, map[string]any{})
-	topic := arch.Truth.SearchTopics[0]
-	url := fmt.Sprintf("%s/api/v1/search/stream?session=%s&q=%s&limit=5", ts.URL, id,
-		strings.ReplaceAll(topic.Query, " ", "+"))
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("content type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	hits, summaries := 0, 0
-	for sc.Scan() {
-		var line struct {
-			Type  string          `json:"type"`
-			Hit   json.RawMessage `json:"hit"`
-			Total int             `json:"total"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		switch line.Type {
-		case "hit":
-			if summaries > 0 {
-				t.Error("hit after summary")
-			}
-			if len(line.Hit) == 0 {
-				t.Error("hit line without hit object")
-			}
-			hits++
-		case "summary":
-			summaries++
-			if line.Total < hits {
-				t.Errorf("summary total %d < streamed hits %d", line.Total, hits)
-			}
-		default:
-			t.Errorf("unknown line type %q", line.Type)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if hits == 0 || summaries != 1 {
-		t.Errorf("stream: %d hits, %d summaries", hits, summaries)
-	}
-	// Unknown session gets the envelope, not a stream.
-	wantEnvelope(t, "GET", ts.URL+"/api/v1/search/stream?session=ghost&q=x", nil,
-		http.StatusNotFound, "not_found")
-}
-
 func TestSearchValidation(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	wantEnvelope(t, "GET", ts.URL+"/api/v1/search?q=x", nil, http.StatusBadRequest, "invalid_request")
@@ -407,11 +352,16 @@ func TestShotMetadata(t *testing.T) {
 }
 
 func TestUnknownRouteEnvelope(t *testing.T) {
-	ts, _, _ := newTestServer(t)
+	ts, arch, _ := newTestServer(t)
 	wantEnvelope(t, "GET", ts.URL+"/api/v1/nope", nil, http.StatusNotFound, "not_found")
 	wantEnvelope(t, "GET", ts.URL+"/elsewhere", nil, http.StatusNotFound, "not_found")
 	// Unversioned /api/... paths are no longer redirected to /api/v1.
 	wantEnvelope(t, "POST", ts.URL+"/api/sessions", map[string]any{}, http.StatusNotFound, "not_found")
+	// The search page is the one search route: the retired stream
+	// path is unmatched even for a live session.
+	id := createSession(t, ts, map[string]any{})
+	q := strings.ReplaceAll(arch.Truth.SearchTopics[0].Query, " ", "+")
+	wantEnvelope(t, "GET", ts.URL+"/api/v1/search/stream?session="+id+"&q="+q, nil, http.StatusNotFound, "not_found")
 }
 
 // TestCatchAllRouteLabelsBounded is the regression test for catch-all
@@ -444,7 +394,7 @@ func TestCatchAllRouteLabelsBounded(t *testing.T) {
 	allowed := map[string]bool{routeUnmatched: true}
 	for _, pattern := range []string{
 		"POST /api/v1/sessions", "GET /api/v1/sessions", "GET /api/v1/sessions/{id}",
-		"DELETE /api/v1/sessions/{id}", "GET /api/v1/search", "GET /api/v1/search/stream",
+		"DELETE /api/v1/sessions/{id}", "GET /api/v1/search",
 		"POST /api/v1/events", "GET /api/v1/shots/{id}", "GET /api/v1/healthz", "GET /api/v1/metrics",
 		"GET /api/v1/debug/traces", "GET /metrics",
 		"GET /api/v1/admin/topology", "POST /api/v1/admin/topology",
