@@ -17,21 +17,21 @@ import (
 // only the codec over hand-built documents; this pins tokenisation,
 // stopping, stemming, concept weighting and the round-robin split too.
 var goldenIndexSegments = map[int][]string{
-	1: {"774fff17bc85f5a2e70dedaf202aa379d11c770ee136210fc68a0a5165393a10"},
+	1: {"dc0c06baa061b9f2909132c5c4a26338b3b7d7b343bff43ebf1d0e50fbdae13f"},
 	2: {
-		"60ad6dcc7912f6e179176491599771e93e0f77823f21b8697c40544fc1a8dbb4",
-		"3e1ae5056c12eb7d69f27bea6e9ad354ddf424449b23fd85bf3eeb6d4e8929dd",
+		"7b0b866b59f8e382f96069a2d7b68150b6cb2572c5e37db4bf7c1c94e9a63368",
+		"d3aa3d1093ba1f7827c6f50cdbaa5351012754bf75534f6888d96fbf93e82272",
 	},
 	3: {
-		"b41776b35e23eeb459965b47f98b118af9946674c185b5e3f0a9fbfd1debf5b8",
-		"dd19c67445508f815fe393f78fd9ce6cfec95644f50ef8b794e26d77d0dc7309",
-		"93f078a5e6d5180bdfd2c72f279ceab446f77b475edde85c4036ed60b58dd3db",
+		"91e4376005bfd0cc678ce054f968e756a4d4e20f65efb59244617e37a4c27417",
+		"49586f66ab7944603a6027351add559ac610a605bff51d5871a1d06b390e1e57",
+		"ad1e46d4358494082365ed4e27c9ae4649c1177cbf9c0fb66bff530e79f0e3e6",
 	},
 }
 
 // goldenIndexSingle is the SHA-256 of BuildIndex's WriteTo bytes over
 // the same archive; it equals the one-segment sharded digest.
-const goldenIndexSingle = "774fff17bc85f5a2e70dedaf202aa379d11c770ee136210fc68a0a5165393a10"
+const goldenIndexSingle = "dc0c06baa061b9f2909132c5c4a26338b3b7d7b343bff43ebf1d0e50fbdae13f"
 
 func goldenCollection(t testing.TB) *collection.Collection {
 	t.Helper()

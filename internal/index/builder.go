@@ -149,10 +149,10 @@ func (b *Builder) Build() *Index {
 		fi.termList = terms
 		fi.infos = make([]termInfo, len(terms))
 		// Encode postings in self-describing blocks of up to BlockSize:
-		// header (n, maxTF, docBytes, tfBytes), then the delta/varint
-		// doc run, then the varint tf run. Deltas continue across block
-		// boundaries. Splitting the runs lets a scorer decode doc IDs
-		// while byte-skipping term frequencies (block-max pruning).
+		// header (n, docBytes, tfBytes), then the delta/varint doc run,
+		// then the varint tf run. Deltas continue across block
+		// boundaries. The header lets a reader bounds-check a block
+		// once and decode each run in its own tight loop.
 		var blob []byte
 		for i, t := range terms {
 			plist := b.postings[f][t]
@@ -164,7 +164,6 @@ func (b *Builder) Build() *Index {
 					end = len(plist)
 				}
 				docRun, tfRun = docRun[:0], tfRun[:0]
-				var blockMax uint32
 				for j := start; j < end; j++ {
 					p := plist[j]
 					delta := uint64(p.doc)
@@ -176,17 +175,9 @@ func (b *Builder) Build() *Index {
 					docRun = append(docRun, scratch[:n]...)
 					n = binary.PutUvarint(scratch[:], uint64(p.tf))
 					tfRun = append(tfRun, scratch[:n]...)
-					if p.tf > blockMax {
-						blockMax = p.tf
-					}
 					info.cf += uint64(p.tf)
 				}
-				if blockMax > info.maxTF {
-					info.maxTF = blockMax
-				}
 				n := binary.PutUvarint(scratch[:], uint64(end-start))
-				blob = append(blob, scratch[:n]...)
-				n = binary.PutUvarint(scratch[:], uint64(blockMax))
 				blob = append(blob, scratch[:n]...)
 				n = binary.PutUvarint(scratch[:], uint64(len(docRun)))
 				blob = append(blob, scratch[:n]...)

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/binfmt"
 )
 
 // sealIndex wraps payload in the index container with a valid CRC, so
@@ -38,6 +41,43 @@ func TestReadRejectsHugeDocCount(t *testing.T) {
 	}
 }
 
+// dictPayload is an index payload holding one document and, in the
+// text field, the given terms in the given order, each with the single
+// posting (doc 0, tf 1).
+func dictPayload(terms ...string) []byte {
+	block := []byte{1, 1, 1, 0, 1} // n, docBytes, tfBytes, doc 0, tf 1
+	p := binary.AppendUvarint(nil, 1)
+	p = binfmt.AppendString(p, "d0")
+	p = append(p, 1, byte(len(terms)), byte(len(terms)), byte(len(terms))) // docLens, totalLen, numTerms
+	var blob []byte
+	for _, term := range terms {
+		p = binfmt.AppendString(p, term)
+		p = append(p, 1, 1, byte(len(block))) // df, cf, postingsLen
+		blob = append(blob, block...)
+	}
+	p = binfmt.AppendBytes(p, blob)
+	p = append(p, 1, 0, 0, 0) // concept field: docLens, totalLen, numTerms
+	return binfmt.AppendBytes(p, nil)
+}
+
+// TestReadRejectsDictionaryOutOfOrder: EachTerm promises sorted order
+// and NumTerms counts distinct terms, so a CRC-valid dictionary that
+// repeats a term or goes backwards is ErrBadFormat.
+func TestReadRejectsDictionaryOutOfOrder(t *testing.T) {
+	ix, err := Read(bytes.NewReader(sealIndex(dictPayload("a", "b"))))
+	if err != nil {
+		t.Fatalf("sorted dictionary rejected: %v", err)
+	}
+	if got := vocabulary(ix, FieldText); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("vocabulary = %q", got)
+	}
+	for _, terms := range [][]string{{"b", "b"}, {"c", "b"}, {"a", "b", "b"}} {
+		if _, err := Read(bytes.NewReader(sealIndex(dictPayload(terms...)))); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("dictionary %q: err = %v, want ErrBadFormat", terms, err)
+		}
+	}
+}
+
 // FuzzRead feeds payloads, sealed with a valid CRC, to Read. The
 // invariant: an index or an ErrBadFormat, never a panic, and no
 // allocation sized from a count the payload merely claims.
@@ -58,13 +98,37 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("untyped error: %v", err)
 		}
 		if err == nil {
-			// A decoded index must be safe to query: walk every posting.
+			// A decoded index must be safe to query: walk every posting,
+			// per posting and in bulk, over a dictionary in sorted order.
+			var docs [7]DocID
+			var tfs [7]uint32
 			for f := Field(0); f < numFields; f++ {
+				prev, seen := "", 0
 				ix.EachTerm(f, func(term string, _ int, _ int64) bool {
-					for it := ix.Postings(f, term); it.Next(); {
+					if seen > 0 && term <= prev {
+						t.Fatalf("field %v: EachTerm visits %q after %q", f, term, prev)
+					}
+					prev, seen = term, seen+1
+					each := 0
+					for it := ix.PostingsFor(f, term); it.Next(); {
+						each++
+					}
+					bulk := 0
+					for it := ix.PostingsFor(f, term); ; {
+						n := it.NextBlock(docs[:], tfs[:])
+						if n == 0 {
+							break
+						}
+						bulk += n
+					}
+					if bulk != each {
+						t.Fatalf("field %v term %q: NextBlock decoded %d postings, Next %d", f, term, bulk, each)
 					}
 					return true
 				})
+				if seen != ix.NumTerms(f) {
+					t.Fatalf("field %v: EachTerm visited %d terms, NumTerms %d", f, seen, ix.NumTerms(f))
+				}
 			}
 		}
 		if n := after.TotalAlloc - before.TotalAlloc; n > 64*uint64(len(raw))+1<<20 {
@@ -126,116 +190,116 @@ func TestReadRandomBytesFuzz(t *testing.T) {
 }
 
 // TestPostingsIteratorTruncatedBuffer exercises the iterator's
-// defensive paths directly against malformed block streams.
+// defensive paths directly against malformed block streams. Headers
+// are (n, docBytes, tfBytes); want is the postings decoded before the
+// damage, which Next and NextBlock must both report, then stay
+// exhausted.
 func TestPostingsIteratorTruncatedBuffer(t *testing.T) {
 	cases := []struct {
 		name string
 		buf  []byte
 		rem  int
+		want int
 	}{
-		{"header ends mid-varint", []byte{0x80}, 3},
-		{"header truncated after n", []byte{0x01}, 1},
-		{"header truncated after maxTF", []byte{0x01, 0x02}, 1},
-		{"header truncated after docBytes", []byte{0x01, 0x02, 0x01}, 1},
+		{"header ends mid-varint", []byte{0x80}, 3, 0},
+		{"header truncated after n", []byte{0x01}, 1, 0},
+		{"header truncated after docBytes", []byte{0x01, 0x01}, 1, 0},
 		// Header complete but docBytes+tfBytes overrun the buffer.
-		{"runs overrun buffer", []byte{0x01, 0x02, 0x05, 0x05, 0xAA}, 1},
+		{"runs overrun buffer", []byte{0x01, 0x05, 0x05, 0xAA}, 1, 0},
+		// docBytes+tfBytes wraps uint64 to 0, so a summed bound passes.
+		{"run lengths overflow", append(binary.AppendUvarint([]byte{0x01}, 1<<64-1), 0x01, 0x03, 0x01), 1, 0},
 		// n claims more postings than the term has left.
-		{"block count exceeds remaining", []byte{0x7F, 0x02, 0x01, 0x01, 0x01, 0x01}, 2},
+		{"block count exceeds remaining", []byte{0x7F, 0x01, 0x01, 0x01, 0x01}, 2, 0},
 		// Zero-posting block is structurally invalid.
-		{"empty block", []byte{0x00, 0x00, 0x00, 0x00}, 1},
+		{"empty block", []byte{0x00, 0x00, 0x00}, 1, 0},
 		// n claims a posting count larger than BlockSize.
-		{"oversized block", append([]byte{0x81, 0x02, 0x00, 0x00, 0x00}, make([]byte, 600)...), 300},
+		{"oversized block", append([]byte{0x81, 0x02, 0x00, 0x00}, make([]byte, 600)...), 300, 0},
 		// Doc run truncated mid-varint (docBytes says 1 byte, but the
 		// byte has its continuation bit set).
-		{"doc run ends mid-varint", []byte{0x01, 0x02, 0x01, 0x01, 0x80, 0x01}, 1},
+		{"doc run ends mid-varint", []byte{0x01, 0x01, 0x01, 0x80, 0x01}, 1, 0},
 		// Valid doc run, tf run truncated mid-varint.
-		{"tf run ends mid-varint", []byte{0x01, 0x02, 0x01, 0x01, 0x03, 0x80}, 1},
+		{"tf run ends mid-varint", []byte{0x01, 0x01, 0x01, 0x03, 0x80}, 1, 0},
+		// The same two faults at the second posting of a block: the
+		// first posting is whole and is reported.
+		{"doc run breaks after one posting", []byte{0x02, 0x02, 0x02, 0x03, 0x80, 0x02, 0x02}, 2, 1},
+		{"tf run breaks after one posting", []byte{0x02, 0x02, 0x02, 0x03, 0x01, 0x02, 0x80}, 2, 1},
 	}
+	var docs [BlockSize]DocID
+	var tfs [BlockSize]uint32
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			it := &PostingsIterator{buf: tc.buf, remaining: tc.rem}
-			if it.Next() {
-				t.Error("malformed block stream yielded a posting")
+			got := 0
+			for it.Next() {
+				got++
+			}
+			if got != tc.want {
+				t.Errorf("Next yielded %d postings, want %d", got, tc.want)
 			}
 			if it.Next() {
 				t.Error("iterator did not stay exhausted")
 			}
-			if n, _, ok := it.BlockBound(); ok || n != 0 {
-				t.Error("exhausted iterator still reports a block")
+			if n := it.NextBlock(docs[:], tfs[:]); n != 0 {
+				t.Errorf("exhausted iterator still decodes %d postings", n)
+			}
+			bulk := &PostingsIterator{buf: tc.buf, remaining: tc.rem}
+			if n := bulk.NextBlock(docs[:], tfs[:]); n != tc.want {
+				t.Errorf("NextBlock decoded %d postings, want %d", n, tc.want)
+			}
+			if bulk.Next() || bulk.NextBlock(docs[:], tfs[:]) != 0 {
+				t.Error("NextBlock left the iterator unexhausted")
 			}
 		})
 	}
 }
 
-// TestPostingsIteratorBlockAPI pins the split-run contract the scoring
-// kernel relies on: BlockBound previews without consuming, doc runs
-// decode independently of tf runs, and an undecoded tf run is silently
-// dropped when the next block opens (that skip is the entire point of
-// the layout).
+// TestPostingsIteratorBlockAPI pins NextBlock to the per-posting path:
+// at buffer sizes below, at and above BlockSize (3×BlockSize spans
+// several storage blocks per call), alone and interleaved with Next,
+// it yields exactly the (doc, tf) sequence Next does and fills the
+// buffer until the list runs out.
 func TestPostingsIteratorBlockAPI(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	ix, _ := randomIndex(r, 400, 6) // enough docs to force multi-block terms
-	ix.EachTerm(FieldText, func(term string, _ int, _ int64) bool {
-		// Reference decode via Next.
-		var wantDocs []DocID
-		var wantTFs []uint32
-		ref := ix.Postings(FieldText, term)
-		var refMax uint32
-		for ref.Next() {
-			wantDocs = append(wantDocs, ref.Doc())
-			wantTFs = append(wantTFs, uint32(ref.TF()))
-			if uint32(ref.TF()) > refMax {
-				refMax = uint32(ref.TF())
-			}
+	ix, _ := randomIndex(r, 1000, 6) // enough docs to force multi-block terms
+	spanned := false
+	for _, term := range vocabulary(ix, FieldText) {
+		var want []posting
+		for it := ix.PostingsFor(FieldText, term); it.Next(); {
+			want = append(want, posting{it.Doc(), uint32(it.TF())})
 		}
-		if got := ix.MaxTF(FieldText, term); got != refMax {
-			t.Fatalf("term %q: MaxTF = %d, want %d", term, got, refMax)
-		}
-		// Block decode, with and without tf runs.
-		var docBuf [BlockSize]DocID
-		var tfBuf [BlockSize]uint32
-		it := ix.Postings(FieldText, term)
-		if it.MaxTF() != refMax {
-			t.Fatalf("term %q: iterator MaxTF = %d, want %d", term, it.MaxTF(), refMax)
-		}
-		pos := 0
-		block := 0
-		for {
-			n, blockMax, ok := it.BlockBound()
-			if !ok {
-				break
-			}
-			if blockMax > refMax {
-				t.Fatalf("term %q: block maxTF %d exceeds term max %d", term, blockMax, refMax)
-			}
-			if got := it.DecodeBlockDocs(docBuf[:]); got != n {
-				t.Fatalf("term %q: DecodeBlockDocs = %d, want %d", term, got, n)
-			}
-			scoreBlock := block%2 == 0
-			if scoreBlock {
-				if got := it.DecodeBlockTFs(tfBuf[:]); got != n {
-					t.Fatalf("term %q: DecodeBlockTFs = %d, want %d", term, got, n)
-				}
-			}
-			for j := 0; j < n; j++ {
-				if docBuf[j] != wantDocs[pos+j] {
-					t.Fatalf("term %q: block doc[%d] = %d, want %d", term, pos+j, docBuf[j], wantDocs[pos+j])
-				}
-				if scoreBlock {
-					if tfBuf[j] != wantTFs[pos+j] {
-						t.Fatalf("term %q: block tf[%d] = %d, want %d", term, pos+j, tfBuf[j], wantTFs[pos+j])
+		spanned = spanned || len(want) > 3*BlockSize
+		for _, size := range []int{1, 7, BlockSize, 3 * BlockSize} {
+			docs, tfs := make([]DocID, size), make([]uint32, size)
+			for _, interleave := range []bool{false, true} {
+				it := ix.PostingsFor(FieldText, term)
+				var got []posting
+				for call := 0; ; call++ {
+					if interleave && call%2 == 1 {
+						if !it.Next() {
+							break
+						}
+						got = append(got, posting{it.Doc(), uint32(it.TF())})
+						continue
 					}
-					if tfBuf[j] > blockMax {
-						t.Fatalf("term %q: tf %d exceeds block max %d", term, tfBuf[j], blockMax)
+					rem := it.Remaining()
+					n := it.NextBlock(docs, tfs)
+					if n != min(size, rem) {
+						t.Fatalf("term %q size %d: NextBlock = %d with %d left", term, size, n, rem)
+					}
+					if n == 0 {
+						break
+					}
+					for j := 0; j < n; j++ {
+						got = append(got, posting{docs[j], tfs[j]})
 					}
 				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("term %q size %d interleave %v: block decode differs from Next", term, size, interleave)
+				}
 			}
-			pos += n
-			block++
 		}
-		if pos != len(wantDocs) {
-			t.Fatalf("term %q: block decode saw %d postings, want %d", term, pos, len(wantDocs))
-		}
-		return true
-	})
+	}
+	if !spanned {
+		t.Fatal("no term spans more than 3×BlockSize postings")
+	}
 }

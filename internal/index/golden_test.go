@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// goldenIndexSHA256 pins index format v2 byte for byte: the SHA-256 of
+// goldenIndexSHA256 pins index format v3 byte for byte: the SHA-256 of
 // WriteTo for buildSmall's four documents.
-const goldenIndexSHA256 = "9e4e7d124feab8d346bc05a2c41cdad277fb1b9f9fe03e1da694ec7dee758c70"
+const goldenIndexSHA256 = "a057705e669cf07468fa7f20ead020a7ffe555bfb2c6a6e8aaebf2e744357194"
 
 func TestGoldenIndexBytes(t *testing.T) {
 	var buf bytes.Buffer
@@ -18,6 +18,6 @@ func TestGoldenIndexBytes(t *testing.T) {
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != goldenIndexSHA256 {
-		t.Fatalf("index v2 bytes moved: sha256 %s (%d bytes), want %s", got, buf.Len(), goldenIndexSHA256)
+		t.Fatalf("index v3 bytes moved: sha256 %s (%d bytes), want %s", got, buf.Len(), goldenIndexSHA256)
 	}
 }

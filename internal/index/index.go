@@ -10,7 +10,6 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // DocID is a dense internal document identifier assigned by the
@@ -41,20 +40,18 @@ func (f Field) String() string {
 }
 
 // BlockSize is the posting count per self-describing postings block.
-// Each block carries its own maximum term frequency, so a scorer can
-// bound the best possible contribution of a whole block before
-// deciding to decode its term frequencies (block-max early
-// termination). 128 postings keep both decode runs well inside L1
-// next to the touched accumulator lines.
+// A block's header states its posting count and the byte lengths of its
+// doc-delta and tf runs, so it is bounds-checked once and each run then
+// decodes in its own tight loop. 128 postings keep both decode runs
+// well inside L1 next to the touched accumulator lines.
 const BlockSize = 128
 
 // termInfo locates one term's postings inside a field's blob.
 type termInfo struct {
-	df    uint32 // document frequency
-	cf    uint64 // collection frequency (sum of tf)
-	maxTF uint32 // maximum tf across the term's postings
-	off   uint64 // byte offset into blob
-	n     uint64 // byte length in blob
+	df  uint32 // document frequency
+	cf  uint64 // collection frequency (sum of tf)
+	off uint64 // byte offset into blob
+	n   uint64 // byte length in blob
 }
 
 // fieldIndex holds one field's dictionary and postings.
@@ -143,30 +140,11 @@ func (ix *Index) CollectionFreq(f Field, term string) int64 {
 	return 0
 }
 
-// MaxTF returns the largest term frequency of term in any single
-// document of field f — the term-wide impact bound block-max early
-// termination derives its per-term score ceiling from. Absent terms
-// report 0.
-func (ix *Index) MaxTF(f Field, term string) uint32 {
-	fi := &ix.fields[f]
-	if i, ok := fi.terms[term]; ok {
-		return fi.infos[i].maxTF
-	}
-	return 0
-}
-
-// Postings returns an iterator over the (doc, tf) postings of term in
-// field f, in ascending DocID order. A term absent from the dictionary
-// yields an exhausted iterator, never nil.
-func (ix *Index) Postings(f Field, term string) *PostingsIterator {
-	it := ix.PostingsFor(f, term)
-	return &it
-}
-
-// PostingsFor is Postings returning the iterator by value, so callers
-// on an allocation-free path (the scoring kernel iterates one per query
-// term per segment) can keep it on the stack instead of paying a heap
-// allocation per term.
+// PostingsFor returns an iterator over the (doc, tf) postings of term
+// in field f, in ascending DocID order. A term absent from the
+// dictionary yields an exhausted iterator. The iterator is returned by
+// value so callers on an allocation-free path (the scoring kernel
+// iterates one per query term per segment) can keep it on the stack.
 func (ix *Index) PostingsFor(f Field, term string) PostingsIterator {
 	fi := &ix.fields[f]
 	i, ok := fi.terms[term]
@@ -177,7 +155,6 @@ func (ix *Index) PostingsFor(f Field, term string) PostingsIterator {
 	return PostingsIterator{
 		buf:       fi.blob[info.off : info.off+info.n],
 		remaining: int(info.df),
-		termMax:   info.maxTF,
 	}
 }
 
@@ -193,21 +170,18 @@ func (ix *Index) DocLens(f Field) []uint32 { return ix.fields[f].docLens }
 // block is self-describing:
 //
 //	uvarint n         postings in the block (1..BlockSize)
-//	uvarint maxTF     largest tf in the block
 //	uvarint docBytes  byte length of the doc-delta run
 //	uvarint tfBytes   byte length of the tf run
 //	docRun            n delta/varint doc IDs (deltas continue across blocks)
 //	tfRun             n varint term frequencies
 //
-// Splitting doc IDs and term frequencies into separate runs is what
-// makes block-max early termination cheap: candidate discovery always
-// decodes the doc run (candidate counts stay exact), while a block
-// whose maxTF-derived score bound cannot reach the current top-k floor
-// skips its tf run — and all scoring arithmetic — entirely.
+// The header is checked once against the bytes left, after which
+// NextBlock decodes the doc run and the tf run each in its own tight
+// loop over a slice it already knows is in bounds.
 //
 // Usage:
 //
-//	it := ix.Postings(index.FieldText, "goal")
+//	it := ix.PostingsFor(index.FieldText, "goal")
 //	for it.Next() {
 //	    use(it.Doc(), it.TF())
 //	}
@@ -215,10 +189,7 @@ type PostingsIterator struct {
 	buf       []byte // undecoded blocks, positioned at the next header
 	docRun    []byte // open block: undecoded doc-delta bytes
 	tfRun     []byte // open block: undecoded tf bytes
-	blockLeft int    // postings not yet consumed from the open block's doc run
-	tfLeft    int    // values not yet consumed from the open block's tf run
-	blockMax  uint32 // open block's max tf
-	termMax   uint32 // term-wide max tf
+	blockLeft int    // postings not yet consumed from the open block
 	remaining int
 	cur       DocID
 	tf        uint64
@@ -230,31 +201,24 @@ type PostingsIterator struct {
 func (it *PostingsIterator) exhaust() {
 	it.remaining = 0
 	it.blockLeft = 0
-	it.tfLeft = 0
 	it.docRun = nil
 	it.tfRun = nil
 	it.buf = nil
 }
 
-// openBlock parses the next block header and arms the doc/tf runs. Any
-// pending (skipped) tf run of the previous block is dropped. It
-// reports false when the list is exhausted or malformed.
+// openBlock parses the next block header and arms the doc/tf runs
+// unless the open block still has postings. It reports false when the
+// list is exhausted or malformed.
 func (it *PostingsIterator) openBlock() bool {
 	if it.blockLeft > 0 {
 		return true
 	}
-	if it.remaining <= 0 || len(it.buf) == 0 {
+	if it.remaining <= 0 {
 		it.exhaust()
 		return false
 	}
 	buf := it.buf
 	n, w := binary.Uvarint(buf)
-	if w <= 0 {
-		it.exhaust()
-		return false
-	}
-	buf = buf[w:]
-	maxTF, w := binary.Uvarint(buf)
 	if w <= 0 {
 		it.exhaust()
 		return false
@@ -273,7 +237,7 @@ func (it *PostingsIterator) openBlock() bool {
 	}
 	buf = buf[w:]
 	if n == 0 || n > uint64(it.remaining) || n > BlockSize ||
-		docBytes+tfBytes > uint64(len(buf)) {
+		docBytes > uint64(len(buf)) || tfBytes > uint64(len(buf))-docBytes {
 		it.exhaust()
 		return false
 	}
@@ -281,8 +245,6 @@ func (it *PostingsIterator) openBlock() bool {
 	it.tfRun = buf[docBytes : docBytes+tfBytes]
 	it.buf = buf[docBytes+tfBytes:]
 	it.blockLeft = int(n)
-	it.tfLeft = int(n)
-	it.blockMax = uint32(maxTF)
 	return true
 }
 
@@ -314,16 +276,12 @@ func (it *PostingsIterator) nextTF() bool {
 	}
 	it.tfRun = it.tfRun[w:]
 	it.tf = tf
-	it.tfLeft--
 	return true
 }
 
 // Next advances to the next posting; it returns false when exhausted.
 func (it *PostingsIterator) Next() bool {
-	if it.blockLeft == 0 && !it.openBlock() {
-		return false
-	}
-	return it.nextDoc() && it.nextTF()
+	return it.openBlock() && it.nextDoc() && it.nextTF()
 }
 
 // Doc returns the current posting's document. Valid after Next()==true.
@@ -335,41 +293,44 @@ func (it *PostingsIterator) TF() int { return int(it.tf) }
 // Remaining reports how many postings have not yet been consumed.
 func (it *PostingsIterator) Remaining() int { return it.remaining }
 
-// MaxTF returns the term-wide maximum term frequency (0 for an
-// exhausted/absent-term iterator).
-func (it *PostingsIterator) MaxTF() uint32 { return it.termMax }
-
-// BlockBound opens the next block if none is pending and reports its
-// undecoded posting count and its maximum term frequency. ok == false
-// means the list is exhausted. The block is not consumed; follow with
-// DecodeBlockDocs (+ DecodeBlockTFs) or Next.
-func (it *PostingsIterator) BlockBound() (n int, maxTF uint32, ok bool) {
-	if !it.openBlock() {
-		return 0, 0, false
+// NextBlock decodes up to min(len(docs), len(tfs)) postings into the
+// caller's buffers — docs receive absolute DocIDs (deltas already
+// resolved), tfs the matching term frequencies — and returns how many
+// postings were written; 0 means the iterator is exhausted. It is the
+// bulk form of Next/Doc/TF, reports exactly the postings Next would
+// (on malformed input too), and may span several storage blocks.
+// NextBlock and Next may be interleaved; both advance the same cursor.
+func (it *PostingsIterator) NextBlock(docs []DocID, tfs []uint32) int {
+	room := min(len(docs), len(tfs))
+	n := 0
+	for n < room && it.openBlock() {
+		k := min(it.blockLeft, room-n)
+		got := it.decodeTFs(tfs[n : n+it.decodeDocs(docs[n:n+k])])
+		n += got
+		if got < k {
+			// Only postings with both halves decoded are reported,
+			// exactly as the per-posting path counts them.
+			it.exhaust()
+			break
+		}
+		it.blockLeft -= k
+		it.remaining -= k
 	}
-	return it.blockLeft, it.blockMax, true
+	return n
 }
 
-// DecodeBlockDocs decodes the open block's remaining doc IDs (deltas
-// resolved to absolute DocIDs) into docs, which must have room for
-// BlockBound's count, and returns how many were written. The block's
-// tf run stays pending: call DecodeBlockTFs to score it, or simply
-// advance to the next block to skip it — the skip is free, which is
-// the point of the split-run layout.
-//
-// The decode loop keeps the run cursor in locals and short-circuits
-// single-byte varints (the overwhelmingly common case for both block
-// deltas and term frequencies) so the per-posting cost on the scoring
-// hot path is a bounds check and an add, not a function call.
-func (it *PostingsIterator) DecodeBlockDocs(docs []DocID) int {
-	n := it.blockLeft
-	if n > len(docs) {
-		n = len(docs)
-	}
+// decodeDocs and decodeTFs each decode the next len(out) values of the
+// open block's doc or tf run and return how many were well-formed.
+// Each keeps its run cursor in locals and short-circuits single-byte
+// varints (the overwhelmingly common case for both block deltas and
+// term frequencies), so the per-posting cost on the scoring hot path is
+// a bounds check and an add, not a function call.
+func (it *PostingsIterator) decodeDocs(out []DocID) int {
 	run := it.docRun
 	cur := it.cur
 	started := it.started
-	for i := 0; i < n; i++ {
+	n := len(out)
+	for i := range out {
 		var delta uint64
 		if len(run) > 0 && run[0] < 0x80 {
 			delta = uint64(run[0])
@@ -378,10 +339,8 @@ func (it *PostingsIterator) DecodeBlockDocs(docs []DocID) int {
 			var w int
 			delta, w = binary.Uvarint(run)
 			if w <= 0 {
-				it.cur = cur
-				it.started = started
-				it.exhaust()
-				return i
+				n = i
+				break
 			}
 			run = run[w:]
 		}
@@ -391,27 +350,19 @@ func (it *PostingsIterator) DecodeBlockDocs(docs []DocID) int {
 			cur = DocID(delta)
 			started = true
 		}
-		docs[i] = cur
+		out[i] = cur
 	}
 	it.docRun = run
 	it.cur = cur
 	it.started = started
-	it.blockLeft -= n
-	it.remaining -= n
 	return n
 }
 
-// DecodeBlockTFs decodes the open block's pending tf run into tfs
-// (aligned index-for-index with the docs DecodeBlockDocs produced) and
-// returns how many were written.
-func (it *PostingsIterator) DecodeBlockTFs(tfs []uint32) int {
-	n := it.tfLeft
-	if n > len(tfs) {
-		n = len(tfs)
-	}
+func (it *PostingsIterator) decodeTFs(out []uint32) int {
 	run := it.tfRun
 	tf := it.tf
-	for i := 0; i < n; i++ {
+	n := len(out)
+	for i := range out {
 		if len(run) > 0 && run[0] < 0x80 {
 			tf = uint64(run[0])
 			run = run[1:]
@@ -419,54 +370,14 @@ func (it *PostingsIterator) DecodeBlockTFs(tfs []uint32) int {
 			var w int
 			tf, w = binary.Uvarint(run)
 			if w <= 0 {
-				it.exhaust()
-				return i
+				n = i
+				break
 			}
 			run = run[w:]
 		}
-		tfs[i] = uint32(tf)
+		out[i] = uint32(tf)
 	}
 	it.tfRun = run
 	it.tf = tf
-	it.tfLeft -= n
 	return n
-}
-
-// NextBlock decodes up to min(len(docs), len(tfs)) postings into the
-// caller's buffers — docs receive absolute DocIDs (deltas already
-// resolved), tfs the matching term frequencies — and returns how many
-// postings were written; 0 means the iterator is exhausted. It is the
-// bulk form of Next/Doc/TF and may span several storage blocks.
-// NextBlock and Next may be interleaved; both advance the same cursor.
-func (it *PostingsIterator) NextBlock(docs []DocID, tfs []uint32) int {
-	max := len(docs)
-	if len(tfs) < max {
-		max = len(tfs)
-	}
-	n := 0
-	for n < max {
-		if it.blockLeft == 0 && !it.openBlock() {
-			break
-		}
-		nd := it.DecodeBlockDocs(docs[n:max])
-		nt := it.DecodeBlockTFs(tfs[n : n+nd])
-		n += nt
-		if nt < nd || nd == 0 {
-			// A truncated tf run poisons the iterator (exhaust); only
-			// postings with both halves decoded are reported, exactly as
-			// the per-posting path counts them.
-			break
-		}
-	}
-	return n
-}
-
-// finish freezes a fieldIndex: sorts the dictionary and rewrites the
-// term->index map to the sorted order.
-func (fi *fieldIndex) finishTermList() {
-	fi.termList = make([]string, 0, len(fi.terms))
-	for t := range fi.terms {
-		fi.termList = append(fi.termList, t)
-	}
-	sort.Strings(fi.termList)
 }

@@ -80,7 +80,7 @@ func TestExternalIDMapping(t *testing.T) {
 
 func TestPostingsIteration(t *testing.T) {
 	ix := buildSmall(t)
-	it := ix.Postings(FieldText, "goal")
+	it := ix.PostingsFor(FieldText, "goal")
 	type pair struct {
 		d  DocID
 		tf int
@@ -96,16 +96,16 @@ func TestPostingsIteration(t *testing.T) {
 	if it.Next() {
 		t.Error("Next after exhaustion should stay false")
 	}
-	// Missing term yields empty iterator, not nil.
-	it = ix.Postings(FieldText, "absent")
-	if it == nil || it.Next() {
+	// Missing term yields an exhausted iterator.
+	it = ix.PostingsFor(FieldText, "absent")
+	if it.Next() {
 		t.Error("missing term should give exhausted iterator")
 	}
 }
 
 func TestPostingsRemaining(t *testing.T) {
 	ix := buildSmall(t)
-	it := ix.Postings(FieldText, "match")
+	it := ix.PostingsFor(FieldText, "match")
 	if it.Remaining() != 2 {
 		t.Errorf("Remaining = %d, want 2", it.Remaining())
 	}
@@ -183,7 +183,7 @@ func TestSetTermCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := b.Build()
-	it := ix.Postings(FieldConcept, "crowd")
+	it := ix.PostingsFor(FieldConcept, "crowd")
 	if !it.Next() || it.TF() != 7 {
 		t.Error("SetTermCount weight not preserved")
 	}
@@ -197,7 +197,7 @@ func TestEmptyIndex(t *testing.T) {
 	if ix.NumDocs() != 0 || ix.AvgDocLen(FieldText) != 0 {
 		t.Error("empty index stats wrong")
 	}
-	if it := ix.Postings(FieldText, "x"); it.Next() {
+	if it := ix.PostingsFor(FieldText, "x"); it.Next() {
 		t.Error("empty index has postings")
 	}
 }
@@ -270,6 +270,23 @@ func TestReadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestReadRejectsOlderVersions: a v1 or v2 file is ErrBadFormat, even
+// with an intact payload and CRC; older indexes are rebuilt, not
+// migrated.
+func TestReadRejectsOlderVersions(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := buildSmall(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []byte{1, 2} {
+		raw := bytes.Clone(buf.Bytes())
+		raw[len(magic)-1] = version
+		if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("IVRIDX v%d: err = %v, want ErrBadFormat", version, err)
+		}
+	}
+}
+
 func assertIndexesEqual(t *testing.T, want, got *Index) {
 	t.Helper()
 	if got.NumDocs() != want.NumDocs() {
@@ -294,7 +311,7 @@ func assertIndexesEqual(t *testing.T, want, got *Index) {
 			if got.CollectionFreq(f, term) != want.CollectionFreq(f, term) {
 				t.Fatalf("cf(%v,%q) differs", f, term)
 			}
-			wi, gi := want.Postings(f, term), got.Postings(f, term)
+			wi, gi := want.PostingsFor(f, term), got.PostingsFor(f, term)
 			for wi.Next() {
 				if !gi.Next() || gi.Doc() != wi.Doc() || gi.TF() != wi.TF() {
 					t.Fatalf("postings(%v,%q) differ", f, term)
@@ -340,7 +357,7 @@ func TestPropertyPostingsReconstructCorpus(t *testing.T) {
 			recon[i] = map[string]int{}
 		}
 		for _, term := range vocabulary(ix, FieldText) {
-			it := ix.Postings(FieldText, term)
+			it := ix.PostingsFor(FieldText, term)
 			for it.Next() {
 				recon[it.Doc()][term] += it.TF()
 			}
@@ -377,7 +394,7 @@ func TestPropertyPersistRoundTrip(t *testing.T) {
 			return false
 		}
 		for _, term := range vocabulary(ix, FieldText) {
-			a, b := ix.Postings(FieldText, term), got.Postings(FieldText, term)
+			a, b := ix.PostingsFor(FieldText, term), got.PostingsFor(FieldText, term)
 			for a.Next() {
 				if !b.Next() || a.Doc() != b.Doc() || a.TF() != b.TF() {
 					return false
@@ -401,7 +418,7 @@ func TestPropertyPostingsSorted(t *testing.T) {
 		ix, _ := randomIndex(r, 1+r.Intn(60), 15)
 		for f := Field(0); f < numFields; f++ {
 			for _, term := range vocabulary(ix, f) {
-				it := ix.Postings(f, term)
+				it := ix.PostingsFor(f, term)
 				last := -1
 				for it.Next() {
 					if int(it.Doc()) <= last {
@@ -465,7 +482,7 @@ func BenchmarkPostingsScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := ix.Postings(FieldText, terms[i%len(terms)])
+		it := ix.PostingsFor(FieldText, terms[i%len(terms)])
 		for it.Next() {
 		}
 	}

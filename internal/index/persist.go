@@ -10,9 +10,9 @@ import (
 	"repro/internal/binfmt"
 )
 
-// On-disk format (version 2):
+// On-disk format (version 3):
 //
-//	magic     8 bytes  "IVRIDX\x00\x02"
+//	magic     8 bytes  "IVRIDX\x00\x03"
 //	payload   N bytes  (varint-encoded sections, see below)
 //	checksum  4 bytes  big-endian CRC-32 (IEEE) of payload
 //
@@ -20,18 +20,21 @@ import (
 //
 //	numDocs, then per doc: extID (len-prefixed)
 //	per field: docLens[], totalLen, numTerms,
-//	           per term: term, df, cf, maxTF, postingsLen,
+//	           per term (strictly increasing): term, df, cf, postingsLen,
 //	           then the field's postings blob.
 //
-// Version 2 switched the postings blob to the self-describing block
-// layout (per-block maxTF header, split doc/tf runs — see
-// PostingsIterator) and added the per-term maxTF used for block-max
-// early termination; version-1 files are rejected, not migrated, since
-// indexes are rebuilt from the archive at startup anyway.
+// The postings blob is a run of self-describing blocks, each a
+// (n, docBytes, tfBytes) header followed by split doc/tf runs (see
+// PostingsIterator). Version 3 dropped the per-block and per-term
+// maximum term frequency, which nothing reads. Older versions are
+// rejected with ErrBadFormat, not migrated: the servers rebuild their
+// indexes from the archive at startup, and an .ivridx written by an
+// older ivrgen must be regenerated.
 //
 // The format is self-contained and position-independent; readers
-// reject wrong magic, truncation, and checksum mismatches.
-const magic = "IVRIDX\x00\x02"
+// reject wrong magic, truncation, checksum mismatches and a dictionary
+// out of order.
+const magic = "IVRIDX\x00\x03"
 
 // Errors surfaced by the persistence layer.
 var (
@@ -69,7 +72,6 @@ func (ix *Index) encode() []byte {
 			b = binfmt.AppendString(b, t)
 			b = binary.AppendUvarint(b, uint64(info.df))
 			b = binary.AppendUvarint(b, info.cf)
-			b = binary.AppendUvarint(b, uint64(info.maxTF))
 			b = binary.AppendUvarint(b, info.n)
 		}
 		b = binfmt.AppendBytes(b, fi.blob)
@@ -115,15 +117,20 @@ func decode(raw []byte) (*Index, error) {
 			fi.docLens[i] = uint32(p.Uvarint())
 		}
 		fi.totalLen = p.Uvarint()
-		// A term entry is at least five bytes: a string and four uvarints.
-		nTerms := p.Count(p.Uvarint(), 5)
+		// A term entry is at least four bytes: a string and three uvarints.
+		nTerms := p.Count(p.Uvarint(), 4)
 		fi.termList = make([]string, nTerms)
 		fi.infos = make([]termInfo, nTerms)
 		fi.terms = make(map[string]int32, nTerms)
 		var off uint64
 		for i := range nTerms {
 			term := p.String()
-			info := termInfo{df: uint32(p.Uvarint()), cf: p.Uvarint(), maxTF: uint32(p.Uvarint()), off: off}
+			// EachTerm promises sorted order and the terms map one entry
+			// per term, so a repeated or out-of-order term is rejected.
+			if i > 0 && term <= fi.termList[i-1] {
+				p.Fail(fmt.Errorf("field %v term %q not after %q", f, term, fi.termList[i-1]))
+			}
+			info := termInfo{df: uint32(p.Uvarint()), cf: p.Uvarint(), off: off}
 			// Each extent must fit in the bytes left, so the running
 			// offset cannot wrap and a term can never slice past the blob.
 			info.n = uint64(p.Count(p.Uvarint(), 1))

@@ -16,7 +16,7 @@ func scoreIndexSegmentMapOracle(seg *index.Index, globalID func(index.DocID) ind
 		if stats[ti].DF == 0 || t.Weight == 0 {
 			continue
 		}
-		it := seg.Postings(q.Field, t.Term)
+		it := seg.PostingsFor(q.Field, t.Term)
 		for it.Next() {
 			doc := it.Doc()
 			acc[doc] += scorer.TermScore(stats[ti], it.TF(), seg.DocLen(q.Field, doc))
