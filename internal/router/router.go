@@ -531,8 +531,10 @@ func isDrainingResponse(resp *http.Response) bool {
 	if err != nil {
 		return false
 	}
-	// A false return relays this 503, so put back the prefix read here.
-	resp.Body = io.NopCloser(bytes.NewReader(data))
+	// A false return relays this 503, so put the prefix read here back
+	// in front of the rest; the caller's deferred Close still closes
+	// the original body.
+	resp.Body = io.NopCloser(io.MultiReader(bytes.NewReader(data), resp.Body))
 	var env tier.ErrorEnvelope
 	return json.Unmarshal(data, &env) == nil && env.Error.Code == tier.CodeDraining
 }

@@ -5,11 +5,14 @@ package router_test
 // -session-store processes form, compressed into one test binary.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -318,6 +321,59 @@ func TestRouterDrainReroute(t *testing.T) {
 	}
 	if rep == owner.id {
 		t.Fatalf("request served by draining replica %s", rep)
+	}
+}
+
+// TestRouterRelaysLongNonDraining503: a 503 with Retry-After whose
+// code is not "draining" is relayed, not re-routed, and the router's
+// peek at its envelope must not cut a body longer than the peek.
+func TestRouterRelaysLongNonDraining503(t *testing.T) {
+	envelope, err := json.Marshal(map[string]any{"error": map[string]string{
+		"code": "overloaded", "message": strings.Repeat("queue full; ", 520),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(envelope) < 6<<10 {
+		t.Fatalf("envelope is %d bytes, want at least 6 KB", len(envelope))
+	}
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/v1/healthz" {
+			fmt.Fprint(w, `{"status":"ok"}`)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Content-Length", strconv.Itoa(len(envelope)))
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write(envelope)
+	}))
+	defer upstream.Close()
+	rt, err := router.New(router.Config{Replicas: []string{upstream.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	resp, err := http.Get(front.URL + "/api/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read relayed body: %v (after %d of %d bytes)", err, len(body), len(envelope))
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", resp.StatusCode)
+	}
+	if !bytes.Equal(body, envelope) {
+		t.Fatalf("relayed body is %d bytes, want the upstream's %d", len(body), len(envelope))
+	}
+	if resp.ContentLength != int64(len(envelope)) {
+		t.Fatalf("Content-Length %d, want %d", resp.ContentLength, len(envelope))
 	}
 }
 
