@@ -41,9 +41,6 @@ type ServerConfig struct {
 	// SlowQuery logs any traced request at least this slow as a
 	// structured slow-query line with its full span tree (0 disables).
 	SlowQuery time.Duration
-	// TraceRing bounds the ring of recently finished traces served at
-	// TracesPath (0 = the trace package default).
-	TraceRing int
 	// Admission sizes the segment tier's concurrency gate. The zero
 	// value yields an effectively transparent gate (limit 4096) whose
 	// ivr_admission_* families are still scrapeable; set InitialLimit
@@ -113,7 +110,6 @@ func NewSegmentServer(cfg ServerConfig) (*SegmentServer, error) {
 	s.statsBody = body
 	s.tracer = trace.NewCollector(trace.CollectorConfig{
 		Tier:          trace.TierSegment,
-		RingSize:      cfg.TraceRing,
 		SlowThreshold: cfg.SlowQuery,
 	})
 	s.handler = trace.HTTPMiddleware(trace.HTTPConfig{

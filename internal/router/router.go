@@ -89,9 +89,6 @@ type Config struct {
 	// SlowQuery logs any proxied request at least this slow as a
 	// structured slow-query line with its full span tree (0 disables).
 	SlowQuery time.Duration
-	// TraceRing bounds the ring of recent traces served at
-	// /api/v1/debug/traces (0 = the trace package default).
-	TraceRing int
 	// SearchDeadline is the X-IVR-Deadline budget minted for
 	// /api/v1/search* requests that arrive without one (0 = 10s,
 	// negative = mint nothing). Inbound budgets from SDK clients are
@@ -157,7 +154,6 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{client: cfg.Client, log: cfg.Logger, cfg: cfg, start: time.Now()}
 	rt.tracer = trace.NewCollector(trace.CollectorConfig{
 		Tier:          trace.TierRouter,
-		RingSize:      cfg.TraceRing,
 		SlowThreshold: cfg.SlowQuery,
 	})
 	if rt.client == nil {

@@ -107,7 +107,6 @@ type serverConfig struct {
 	store       sessionstore.SessionStore
 	replicaID   string
 	slowQuery   time.Duration
-	traceRing   int
 	topo        TopologyAdmin
 	admission   overload.AdmissionConfig
 	clock       overload.Clock
@@ -157,12 +156,6 @@ func WithReplicaID(id string) Option {
 // process's stderr. 0 disables the log; tracing itself is always on.
 func WithSlowQuery(d time.Duration) Option {
 	return func(c *serverConfig) { c.slowQuery = d }
-}
-
-// WithTraceRing bounds the ring of recently finished traces served at
-// /api/v1/debug/traces (default: the trace package default).
-func WithTraceRing(n int) Option {
-	return func(c *serverConfig) { c.traceRing = n }
 }
 
 // WithAdmission sizes the serve tier's search admission gate: at most
@@ -217,7 +210,6 @@ func NewServer(sys *core.System, opts ...Option) (*Server, error) {
 	}
 	s.tracer = trace.NewCollector(trace.CollectorConfig{
 		Tier:          trace.TierServe,
-		RingSize:      cfg.traceRing,
 		SlowThreshold: cfg.slowQuery,
 	})
 	// Stage quantiles (expand/prepare/segment/merge/...) observed by the
